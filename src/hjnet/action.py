@@ -8,12 +8,14 @@ minimal action.  Two computations are provided:
 
 * ``min_action``: a dual lower bound.  For each level a >= a0 the cheapest
   lifted path from (x, 0) to (y, h) under the weights sigma(e, a) is found
-  by label-correcting sweeps on the crystal restricted to a rotation box,
-  and the bound  max_a [Psi_a(x,y,h) - a T]  is maximized on an adaptive
-  geometric a-grid plus local refinement.  The clamp a >= a0 (instead of the
-  per-path max of critical values) costs at most a T-independent additive
-  constant, realized by bounded detours through the spanning tree; only
-  T-normalized quantities enter the acceptance checks.
+  by Dijkstra on the crystal restricted to a rotation box (``BoxGraph``),
+  with one Johnson potential from the cell problem at a0 keeping every
+  reweighted sigma(e, a) >= 0, and the bound  max_a [Psi_a(x,y,h) - a T]
+  is maximized on an adaptive geometric a-grid plus local refinement.  The
+  clamp a >= a0 (instead of the per-path max of critical values) costs at
+  most a T-independent additive constant, realized by bounded detours
+  through the spanning tree; only T-normalized quantities enter the
+  acceptance checks.
 
 * ``min_action_exact_oracle``: exhaustive enumeration of path supports on
   tiny instances, each support evaluated with the pause-aware clamp (the
@@ -24,26 +26,27 @@ minimal action.  Two computations are provided:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .base_graph import BaseGraph, Path, ThetaMap
-from .crystal import CrystalVertex
+from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, Unreachable
 from .mather import get_solver
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_A_GRID = 64
 
 
 @dataclass(frozen=True)
 class ActionQuery:
-    """Endpoints, horizon and caps for one minimal-action evaluation."""
+    """Endpoints, horizon and caps for one minimal-action evaluation.
+
+    ``rotation_radius`` bounds the crystal box of ``min_action``;
+    ``edge_cap`` bounds the support length of ``min_action_exact_oracle``.
+    """
 
     x: str
     y: str
@@ -97,83 +100,41 @@ def path_action(profiles: EdgeProfiles, support: Path, T: float) -> float:
     return _concave_max(f, a_hat, hi_hint=max(1.0, (len(support.edges) / T) ** 2))
 
 
-def _shift_slices(offset, n):
-    """Source/destination slice pairs moving an array by an integer vector."""
-    src, dst = [], []
-    for t in offset:
-        t = int(t)
-        if t >= 0:
-            src.append(slice(0, n - t))
-            dst.append(slice(t, n))
-        else:
-            src.append(slice(-t, n))
-            dst.append(slice(0, n + t))
-    return tuple(src), tuple(dst)
+def crystal_potential(g: BaseGraph, tm: ThetaMap,
+                      profiles: EdgeProfiles) -> Potential:
+    """Johnson potential for the reach weights sigma(e, a) at every a >= a0.
+
+    Feasible at a0 and sigma increases in a, so one potential serves every
+    level of every reach on this network.
+    """
+    return johnson_potential(
+        g, tm, [profiles[e].sigma(profiles.a0) for e in sorted(g.edges)])
 
 
 class LiftedReach:
-    """Cheapest walk weights sum sigma(e, a) on the crystal inside a box.
+    """Cheapest walk weights sum sigma(e, a) from a box's source.
 
-    Distances are stored as arrays of shape (n_a, n_vertices, (2r+1), ...,
-    (2r+1)) with one box axis per homology dimension, batched over the level
-    grid a_values.  ``reverse=True`` computes walks INTO the source instead
-    (used by the rescaled-solution search, which minimizes over starting
-    vertices).
+    ``dist`` has shape (n_a, |V0|, 2r+1, ..., 2r+1), one box axis per
+    homology dimension, batched over the level grid ``a_values``; a reverse
+    box gives walks INTO the source (used by the rescaled-solution search,
+    which minimizes over starting vertices).  Levels must be >= a0.
     """
 
-    def __init__(self, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                 source_vertex: str, source_h, center, radius: int,
-                 a_values, cap: int, reverse: bool = False):
-        self.g = g
-        self.tm = tm
-        self.radius = int(radius)
-        self.center = np.asarray(center, dtype=int)
-        self.a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
-        b = tm.betti
-        n = 2 * self.radius + 1
-        self.vindex = {v: i for i, v in enumerate(g.vertices)}
-        shape = (self.a_values.size, len(g.vertices)) + (n,) * b
-        self.dist = np.full(shape, np.inf)
-        src_idx = tuple(np.asarray(source_h, dtype=int) - self.center + self.radius)
-        if any(i < 0 or i >= n for i in src_idx):
-            raise ValueError("source h outside the rotation box")
-        self.dist[(slice(None), self.vindex[source_vertex]) + src_idx] = 0.0
-        self.cap_bound = False
-        self._sweep(profiles, cap, n, reverse)
+    cap_bound = False  # the search has no cap; bench/tracing.py counts this
 
-    def _sweep(self, profiles, cap, n, reverse):
-        sig = {e: profiles[e].sigma(self.a_values) for e in self.g.edges}
-        w = {e: np.asarray(sig[e]).reshape((self.a_values.size,) + (1,) * self.tm.betti)
-             for e in self.g.edges}
-        steps = 0
-        while steps < cap:
-            improved = False
-            for e in sorted(self.g.edges):
-                if reverse:
-                    # relax backward: walking edge e leads INTO the source side
-                    u, v, off = self.g.terminus(e), self.g.origin(e), -self.tm.theta[e]
-                else:
-                    u, v, off = self.g.origin(e), self.g.terminus(e), self.tm.theta[e]
-                src_sl, dst_sl = _shift_slices(off, n)
-                cand = self.dist[(slice(None), self.vindex[u]) + src_sl] + w[e]
-                target = self.dist[(slice(None), self.vindex[v]) + dst_sl]
-                mask = cand < target - 1e-15
-                if np.any(mask):
-                    improved = True
-                    np.minimum(target, cand, out=target)
-            steps += 1
-            if not improved:
-                return
-        self.cap_bound = True
-        logger.warning("edge-count cap (%d) binding in lifted reach", cap)
+    def __init__(self, box: BoxGraph, profiles: EdgeProfiles, a_values,
+                 potential: Potential | None = None):
+        self.box = box
+        self.a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
+        if potential is None:
+            potential = crystal_potential(box.g, box.tm, profiles)
+        weights = np.stack([profiles[e].sigma(self.a_values) for e in box.edges],
+                           axis=1)
+        self.dist = box.distances(weights, potential)
 
     def at(self, vertex: str, h):
         """Distance profile over the a-grid for one crystal vertex."""
-        idx = tuple(np.asarray(h, dtype=int) - self.center + self.radius)
-        n = 2 * self.radius + 1
-        if any(i < 0 or i >= n for i in idx):
-            raise ValueError("queried h outside the rotation box")
-        return self.dist[(slice(None), self.vindex[vertex]) + idx]
+        return self.dist[(slice(None),) + self.box.index(vertex, h)]
 
 
 def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
@@ -187,14 +148,16 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         raise ValueError("T must be positive")
     h = np.asarray(query.h, dtype=int)
     radius = query.radius()
-    cap = query.cap(len(g.vertices))
+    if np.max(np.abs(h), initial=0) > radius:
+        raise Unreachable(f"h = {query.h} lies outside the rotation box of "
+                          f"radius {radius}")
     a0 = profiles.a0
     offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
+    box = BoxGraph(g, tm, CrystalVertex(query.x, (0,) * tm.betti), radius)
+    potential = crystal_potential(g, tm, profiles)
 
     def psi(a_values) -> np.ndarray:
-        reach = LiftedReach(g, tm, profiles, query.x, np.zeros_like(h),
-                            np.zeros_like(h), radius, a_values, cap)
-        return reach.at(query.y, h)
+        return LiftedReach(box, profiles, a_values, potential).at(query.y, h)
 
     for _ in range(20):
         grid = _a_grid(a0, offset, query.a_grid)
@@ -202,7 +165,7 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         if not np.any(np.isfinite(vals)):
             raise Unreachable(
                 f"no lifted path from ({query.x}, 0) to ({query.y}, {query.h}) "
-                f"within radius {radius} and {cap} edges")
+                f"within radius {radius}")
         i = int(np.argmax(vals))
         if i < query.a_grid - 1:
             break

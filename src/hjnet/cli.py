@@ -148,8 +148,7 @@ def cmd_action(args):
     g, tm, profiles = _load_setup(args)
     h = _int_vector(args.h)
     query = ActionQuery(args.x, args.y, args.T, h,
-                        rotation_radius=args.rotation_radius,
-                        edge_cap=args.edge_cap)
+                        rotation_radius=args.rotation_radius)
     phi = min_action(g, tm, profiles, query)
     header = (["x", "y", "T"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["phi", "phi_over_T"])
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--h", required=True, help="integer rotation vector, e.g. 4,0")
     p.add_argument("--rotation-radius", type=int)
-    p.add_argument("--edge-cap", type=int)
     p.set_defaults(fn=cmd_action)
 
     p = sub.add_parser("asymptotics", help="minimal action vs beta over a T list")

@@ -47,3 +47,7 @@ class Unreachable(HJNetError):
 
 class RadiusExhausted(HJNetError):
     """The search ball for the rescaled solution still binds after expansion."""
+
+
+class NegativeReducedWeight(HJNetError):
+    """A Johnson-reweighted crystal arc weight is negative beyond tolerance."""

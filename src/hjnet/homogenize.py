@@ -7,7 +7,10 @@ The rescaled solution with initial datum g_eps(z) = g(eps pi2(z)) is
 with the minimum restricted to a ball eps d_V(z0, z) <= R that provably
 contains the minimizers (the ball radius follows from the datum's Lipschitz
 bound and the conjugate speeds of the effective Hamiltonian, and expands
-once if it binds).  The limit solution is the inf-convolution
+once if it binds).  Hop counts and the dual-level walk weights Phi come from
+one reverse crystal box around z (``crystal.BoxGraph``): one unweighted
+search, then one Dijkstra search per level.  The limit solution is the
+inf-convolution
 
     u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
 
@@ -23,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_graph import BaseGraph, ThetaMap
-from .crystal import CrystalVertex
+from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, RadiusExhausted
-from .action import LiftedReach, _shift_slices
+from .action import LiftedReach, crystal_potential
 from .mather import MatherSolver, get_solver
 
 logger = logging.getLogger(__name__)
@@ -100,9 +103,7 @@ class ExperimentGrid:
     radius: float | None = None
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            pass  # strictly decreasing
-        else:
+        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         if any(t <= 0 for _, t in self.samples):
             raise ValueError("sample times must be positive")
@@ -141,31 +142,6 @@ def _reach_scales(solver: MatherSolver, L: float, n_dirs: int = 16):
     return 1.25 * q_reach + 0.25, a_cap + 1.0
 
 
-def _hop_counts(g: BaseGraph, tm: ThetaMap, source_vertex: str, source_h,
-                center, radius: int, cap: int) -> np.ndarray:
-    """Unweighted crystal distances INTO the source, on the same box layout."""
-    b = tm.betti
-    n = 2 * radius + 1
-    vindex = {v: i for i, v in enumerate(g.vertices)}
-    dist = np.full((len(g.vertices),) + (n,) * b, np.inf)
-    src = tuple(np.asarray(source_h, dtype=int) - np.asarray(center, dtype=int)
-                + radius)
-    dist[(vindex[source_vertex],) + src] = 0.0
-    for _ in range(cap):
-        improved = False
-        for e in sorted(g.edges):
-            u, v, off = g.terminus(e), g.origin(e), -tm.theta[e]
-            src_sl, dst_sl = _shift_slices(off, n)
-            cand = dist[(vindex[u],) + src_sl] + 1.0
-            target = dist[(vindex[v],) + dst_sl]
-            if np.any(cand < target):
-                improved = True
-                np.minimum(target, cand, out=target)
-        if not improved:
-            break
-    return dist
-
-
 def _box_lattice(center, radius: int, b: int):
     """Integer h values of the box as an array of shape (n, ..., n, b)."""
     n = 2 * radius + 1
@@ -186,12 +162,13 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     solver = get_solver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
     q_reach, a_cap = _reach_scales(solver, L)
+    potential = crystal_potential(g, tm, profiles)
     radius_given = R is not None
     if R is None:
         R = t * q_reach + 1.0
     for attempt in range(2):
         value, touches = _epsilon_solution_once(
-            g, tm, profiles, datum, z, t, eps, R, a_cap, a_grid)
+            g, tm, profiles, potential, datum, z, t, eps, R, a_cap, a_grid)
         if not touches:
             return value
         if radius_given and attempt == 0:
@@ -201,16 +178,17 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         f"minimizer keeps touching the search ball even after expansion (R={R})")
 
 
-def _epsilon_solution_once(g, tm, profiles, datum, z, t, eps, R, a_cap, a_grid):
+def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
+                           a_cap, a_grid):
     T = t / eps
     b = tm.betti
     hops_allowed = R / eps
     rbox = int(np.ceil(hops_allowed)) + 1
     h_z = np.asarray(z.h, dtype=int)
-    cap = int(4 * (hops_allowed + len(g.vertices))) + 8
     offset = max(a_cap - profiles.a0, 1.0)
 
-    hops = _hop_counts(g, tm, z.base, h_z, h_z, rbox, cap)
+    box = BoxGraph(g, tm, z, rbox, reverse=True)
+    hops = box.hops()
     lattice = _box_lattice(h_z, rbox, b)
     g_vals = datum.value(eps * lattice.astype(float)) if b else \
         np.asarray(datum.value(np.zeros(0)))
@@ -219,8 +197,7 @@ def _epsilon_solution_once(g, tm, profiles, datum, z, t, eps, R, a_cap, a_grid):
         a_vals = np.concatenate([[profiles.a0],
                                  profiles.a0 + np.geomspace(1e-6, offset,
                                                             a_grid - 1)])
-        reach = LiftedReach(g, tm, profiles, z.base, h_z, h_z, rbox, a_vals,
-                            cap, reverse=True)
+        reach = LiftedReach(box, profiles, a_vals, potential)
         # phi[a, v, box...] -> dual value per candidate, then the datum
         phi = reach.dist - (a_vals * T).reshape((-1,) + (1,) * (b + 1))
         best_over_a = phi.max(axis=0)
@@ -249,8 +226,7 @@ def _epsilon_solution_once(g, tm, profiles, datum, z, t, eps, R, a_cap, a_grid):
         if hi <= lo:
             break
         a_ref = np.linspace(lo, hi, 48)
-        reach2 = LiftedReach(g, tm, profiles, z.base, h_z, h_z, rbox, a_ref,
-                             cap, reverse=True)
+        reach2 = LiftedReach(box, profiles, a_ref, potential)
         phi2 = reach2.dist - (a_ref * T).reshape((-1,) + (1,) * (b + 1))
         u2 = g_vals[None, ...] + eps * phi2.max(axis=0)
         u2 = np.where(hops <= hops_allowed, u2, np.inf)

@@ -60,3 +60,13 @@ def honeycomb_cos(honeycomb):
         "e2": QuadraticEdgeModel(),
     }
     return g, tm, build_profiles(g, models)
+
+
+@pytest.fixture(scope="session")
+def drifted_loop():
+    """One-loop bouquet, H = rho^2/2 + 2 rho: sigma(f, a0) = -2, H_eff(0) = a0 + 2."""
+    g = build_graph({"vertices": ["v"],
+                     "edges": [{"id": "f", "from": "v", "to": "v"}]})
+    tm = theta_map(g, spanning_tree(g))
+    profiles = build_profiles(g, {"f": QuadraticEdgeModel(drift=TrigPoly(const=2.0))})
+    return g, tm, profiles

@@ -84,3 +84,48 @@ def allocation_grid_action(profiles, edge_ids, T, n=240):
         total = np.where(valid, costs[0][:, None] + costs[1][None, :] + c3, np.inf)
         return float(total.min())
     raise ValueError("allocation oracle supports up to 3 edges")
+
+
+def _shift_slices(offset, n):
+    src, dst = [], []
+    for t in offset:
+        t = int(t)
+        src.append(slice(max(-t, 0), n - max(t, 0)))
+        dst.append(slice(max(t, 0), n + min(t, 0)))
+    return tuple(src), tuple(dst)
+
+
+def sweep_reach(g, tm, profiles, source_vertex, source_h, radius, a_values,
+                reverse=False):
+    """Label-correcting sweeps for the cheapest lifted walk weights sum sigma(e, a).
+
+    Gauss-Seidel passes over every edge relax whole shifted box slices at
+    once, batched over the levels, until a pass improves nothing.  Returns
+    an array of shape (levels, |V0|, 2r+1, ..., 2r+1) centered at source_h,
+    with walks INTO the source when ``reverse``.  Closed crystal walks have
+    nonnegative weight at levels >= a0, so the passes terminate; more
+    passes than box nodes would mean a negative cycle.
+    """
+    a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
+    b, n = tm.betti, 2 * radius + 1
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    dist = np.full((a_values.size, len(g.vertices)) + (n,) * b, np.inf)
+    dist[(slice(None), vindex[source_vertex]) + (radius,) * b] = 0.0
+    w = {e: np.asarray(profiles[e].sigma(a_values)).reshape((-1,) + (1,) * b)
+         for e in g.edges}
+    for _ in range(len(g.vertices) * n ** b + 1):
+        improved = False
+        for e in sorted(g.edges):
+            if reverse:
+                u, v, off = g.terminus(e), g.origin(e), -tm.theta[e]
+            else:
+                u, v, off = g.origin(e), g.terminus(e), tm.theta[e]
+            src, dst = _shift_slices(off, n)
+            cand = dist[(slice(None), vindex[u]) + src] + w[e]
+            target = dist[(slice(None), vindex[v]) + dst]
+            if np.any(cand < target):
+                improved = True
+                np.minimum(target, cand, out=target)
+        if not improved:
+            return dist
+    raise RuntimeError("sweeps did not settle: negative closed walk")

@@ -5,7 +5,7 @@ from hjnet import Path, build_graph, spanning_tree, theta_map
 from hjnet.action import (ActionQuery, LiftedReach, asymptotics_scan,
                           min_action, min_action_exact_oracle,
                           network_min_action, path_action)
-from hjnet.crystal import CrystalVertex
+from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import Unreachable
 
@@ -85,7 +85,7 @@ class TestMinAction:
         g, tm, profs = bouquet_free
         with pytest.raises(Unreachable):
             min_action(g, tm, profs,
-                       ActionQuery("v", "v", 1.0, (4, 0), edge_cap=2))
+                       ActionQuery("v", "v", 1.0, (4, 0), rotation_radius=3))
 
     def test_subadditive(self, bouquet_free):
         g, tm, profs = bouquet_free
@@ -105,7 +105,7 @@ class TestMinAction:
 def test_psi_concave_in_a(honeycomb_cos):
     g, tm, profs = honeycomb_cos
     a = profs.a0 + np.linspace(1e-3, 5.0, 15)  # uniform grid for midpoint checks
-    reach = LiftedReach(g, tm, profs, "x1", (0, 0), (0, 0), 5, a, 40)
+    reach = LiftedReach(BoxGraph(g, tm, CrystalVertex("x1", (0, 0)), 5), profs, a)
     psi = reach.at("x2", (2, 1))
     assert np.isfinite(psi).all()
     assert (psi[1:-1] >= (psi[:-2] + psi[2:]) / 2 - 1e-10).all()

@@ -136,6 +136,16 @@ def test_homogenize_zero_datum(files, capsys):
     assert len(data["sup_error_per_eps"]) == 2
 
 
+def test_homogenize_single_eps(files):
+    out = files["tmp"] / "single.csv"
+    assert main(["homogenize", "--graph", files["bouquet.json"],
+                 "--hamiltonians", files["bouquet_ham.json"],
+                 "--datum", "zero", "--samples", "0.5,0.2@1.0",
+                 "--eps", "0.1", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.1,")
+
+
 def test_embed_command(files):
     out = files["tmp"] / "window.json"
     assert main(["embed", "--graph", files["honeycomb.json"],

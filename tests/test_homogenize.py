@@ -107,6 +107,16 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), -1.0),), (0.25, 0.125))
 
+    def test_grid_accepts_single_eps(self):
+        grid = ExperimentGrid((((0.0, 0.0), 1.0),), (0.1,))
+        assert grid.eps_list == (0.1,)
+
+    def test_grid_rejects_non_monotone_eps(self):
+        with pytest.raises(ValueError):
+            ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.5, 0.1))
+        with pytest.raises(ValueError):
+            ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.25))
+
     def test_zero_datum_all_zero_errors(self, bouquet_free):
         g, tm, profs = bouquet_free
         grid = ExperimentGrid((((0.5, 0.25), 1.0), ((-0.25, 0.5), 0.5)),
