@@ -62,9 +62,6 @@ class BaseGraph:
             star[self.edges[e].origin].append(e)
         self._star = {v: tuple(es) for v, es in star.items()}
 
-    def edge(self, edge_id: str) -> OrientedEdge:
-        return self.edges[edge_id]
-
     def origin(self, edge_id: str) -> str:
         return self.edges[edge_id].origin
 
@@ -77,16 +74,6 @@ class BaseGraph:
     def star(self, vertex: str) -> tuple[str, ...]:
         """Directed edges with the given origin, in id order."""
         return self._star[vertex]
-
-    def positive_id(self, edge_id: str) -> str:
-        e = self.edges[edge_id]
-        return edge_id if e.is_positive else e.reversed
-
-    def is_valid_path(self, path: Path) -> bool:
-        for a, b in zip(path.edges, path.edges[1:]):
-            if self.terminus(a) != self.origin(b):
-                return False
-        return all(e in self.edges for e in path.edges)
 
 
 def build_graph(spec: dict) -> BaseGraph:
@@ -183,9 +170,6 @@ class ThetaMap:
     basis_edges: tuple[str, ...]
     theta: dict[str, np.ndarray]
     circuits: dict[str, Path] = field(default_factory=dict)
-
-    def vec(self, edge_id: str) -> np.ndarray:
-        return self.theta[edge_id]
 
 
 def _tree_path(g: BaseGraph, t: SpanningTree, start: str, goal: str) -> Path:

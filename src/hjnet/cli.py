@@ -1,7 +1,8 @@
 """Command-line interface: config ingestion, subcommands, CSV/JSON output.
 
-Every run is deterministic given the same config and seed; CSV rows are
-emitted in input order even when evaluated on a thread pool.
+Every run is deterministic: the same inputs give byte-identical output, and
+each CSV row depends only on its own input, not on the rows before it.
+CSV rows are emitted in input order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -75,13 +75,6 @@ def _load_setup(args, need_hamiltonians=True):
     return g, tm, profiles
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def cmd_betti(args):
     g, tm, _ = _load_setup(args, need_hamiltonians=False)
     print(f"betti {tm.betti}")
@@ -124,8 +117,7 @@ def _p_list(args, b):
 def cmd_effective_hamiltonian(args):
     g, tm, profiles = _load_setup(args)
     ps = _p_list(args, tm.betti)
-    vals = _pmap(lambda p: effective_hamiltonian(g, tm, profiles, p),
-                 ps, args.threads)
+    vals = [effective_hamiltonian(g, tm, profiles, p) for p in ps]
     header = [f"p_{i+1}" for i in range(tm.betti)] + ["H_eff"]
     _write_csv(header, [list(p) + [v] for p, v in zip(ps, vals)], args.out)
     return 0
@@ -137,8 +129,7 @@ def cmd_beta(args):
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
     solver = get_solver(g, tm, profiles)
-    vals = _pmap(lambda h: solver.beta(h, search_box=args.search_box),
-                 hs, args.threads)
+    vals = [solver.beta(h, search_box=args.search_box) for h in hs]
     header = [f"h_{i+1}" for i in range(tm.betti)] + ["beta"]
     _write_csv(header, [list(h) + [v] for h, v in zip(hs, vals)], args.out)
     return 0
@@ -226,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         if hams:
             p.add_argument("--hamiltonians", help="hamiltonian spec JSON")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="JSON file with default argument values")
 
     p = sub.add_parser("betti", help="first Betti number of the base graph")

@@ -98,14 +98,6 @@ class Crystal:
             cur = cur + self.tm.theta[e]
         return LiftedPath(start, tuple(edges))
 
-    def lift_terminus(self, p0: Path, h) -> CrystalVertex:
-        """Terminus of the lift: (terminus(p0), h + theta([p0]))."""
-        h = np.asarray(h, dtype=int)
-        if not p0.edges:
-            raise ValueError("empty path has no terminus without an anchor vertex")
-        total = h + sum(self.tm.theta[e] for e in p0.edges)
-        return CrystalVertex(self.g.terminus(p0.edges[-1]), _t(total))
-
     def graph_distance(self, a: CrystalVertex, b: CrystalVertex,
                        node_cap: int = DEFAULT_NODE_CAP) -> int:
         """Minimal number of crystal edges linking a to b.

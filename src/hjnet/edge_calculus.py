@@ -348,12 +348,6 @@ class EdgeProfiles:
     def __getitem__(self, edge_id: str) -> EdgeProfile:
         return self.profiles[edge_id]
 
-    def sigma(self, edge_id: str, a):
-        return self.profiles[edge_id].sigma(a)
-
-    def lagrangian(self, edge_id: str, lam: float) -> float:
-        return self.profiles[edge_id].lagrangian(lam)
-
 
 def build_profiles(g: BaseGraph, models: dict[str, object],
                    n_quad: int = DEFAULT_QUAD_SAMPLES) -> EdgeProfiles:

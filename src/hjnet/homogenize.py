@@ -197,11 +197,12 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
         a_vals = np.concatenate([[profiles.a0],
                                  profiles.a0 + np.geomspace(1e-6, offset,
                                                             a_grid - 1)])
-        reach = LiftedReach(box, profiles, a_vals, potential)
         # phi[a, v, box...] -> dual value per candidate, then the datum
-        phi = reach.dist - (a_vals * T).reshape((-1,) + (1,) * (b + 1))
+        phi = LiftedReach(box, profiles, a_vals, potential).dist
+        phi -= (a_vals * T).reshape((-1,) + (1,) * (b + 1))
         best_over_a = phi.max(axis=0)
         argmax_a = phi.argmax(axis=0)
+        del phi
         u_cand = g_vals[None, ...] + eps * best_over_a
         u_cand = np.where(hops <= hops_allowed, u_cand, np.inf)
         flat = int(np.argmin(u_cand))
@@ -226,9 +227,11 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
         if hi <= lo:
             break
         a_ref = np.linspace(lo, hi, 48)
-        reach2 = LiftedReach(box, profiles, a_ref, potential)
-        phi2 = reach2.dist - (a_ref * T).reshape((-1,) + (1,) * (b + 1))
+        phi2 = LiftedReach(box, profiles, a_ref, potential).dist
+        phi2 -= (a_ref * T).reshape((-1,) + (1,) * (b + 1))
+        arg2 = phi2.argmax(axis=0)
         u2 = g_vals[None, ...] + eps * phi2.max(axis=0)
+        del phi2
         u2 = np.where(hops <= hops_allowed, u2, np.inf)
         refined = u2 > u_cand
         u_cand = np.maximum(u_cand, u2)
@@ -238,7 +241,7 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
             break
         widx = new_widx
         a_current = a_ref
-        arg_current = phi2.argmax(axis=0)
+        arg_current = arg2
     touches = bool(hops[widx] > hops_allowed - 1.5)
     return float(u_cand[widx]), touches
 

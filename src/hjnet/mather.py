@@ -7,22 +7,28 @@ over directed simple circuits xi, of
     S_xi(a) = <p, theta(xi)>        with  S_xi(a) = sum_{e in xi} sigma(e, a),
 
 clipped from below at a0 (each S_xi is strictly increasing, so the root is
-found by inverse interpolation on a shared table, then polished by exact
-root finding).  This agrees with the sign-bisection route of
+found by inverse interpolation, then polished by exact root finding).  This
+agrees with the sign-bisection route of
 ``cell_problem.effective_hamiltonian``; the test suite pins the two routes
 together.
+
+alpha, beta and the flow LP below read sigma from one append-only ladder
+per solver: levels a0 and a0 + 4e-7 rho^j (516 per doubling of a - a0), with
+per-edge sigma and circuit sums.  It grows one block at a time, only as far
+as a query needs, and never changes a level, so answers are history-free.
 
 beta is the Fenchel conjugate of alpha, computed by adaptive grid refinement
 of the concave objective <p, h> - alpha(p) with automatic box expansion.
 An independent oracle realizes beta directly as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
-constraints, solved by HiGHS and refined around the active speeds.
+constraints, solved by HiGHS and refined around the active speeds.  Its cost
+grid L(e, q) = max over ladder levels of q sigma(e, a) - a is certified: the
+ladder grows until every maximizing level is interior.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,11 @@ from .errors import BoxExpansionLimit, ConvergenceFailure
 
 DEFAULT_SEARCH_BOX = 4.0
 _MAX_BOX_EXPANSIONS = 40
-_ALPHA_TABLE_SIZE = 12000
+# sigma ladder: a0, then a0 + 4e-7 rho^j; 516 levels per doubling of a - a0
+_LADDER_START = 4e-7
+_LADDER_RATIO = 1e7 ** (1 / 11999)
+_LADDER_BLOCK = 516
+_SPEED_CHUNK = 32
 
 
 @dataclass
@@ -63,7 +73,10 @@ class ClosedFlow:
 
 
 class MatherSolver:
-    """Cached alpha/beta machinery for one (graph, theta, profiles) triple."""
+    """Cached alpha/beta machinery for one (graph, theta, profiles) triple.
+
+    Not thread-safe: queries grow the sigma ladder in place.
+    """
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles):
         self.g = g
@@ -76,40 +89,42 @@ class MatherSolver:
         self._edge_list = sorted(g.edges)
         self._circuit_edge_count = np.array(
             [[c.edges.count(e) for e in self._edge_list] for c in self.circuits],
-            dtype=float)
-        self._table_lock = threading.Lock()
-        self._tables = self._build_tables(self.a0 + 4.0)
+            dtype=float).reshape(len(self.circuits), len(self._edge_list))
+        # the sigma ladder: levels, per-edge sigma and circuit sums, append-only
+        self._a = np.array([self.a0])
+        self._sig = np.stack([profiles[e].sigma(self._a) for e in self._edge_list])
+        self._S = self._circuit_edge_count @ self._sig
 
-    # ----- alpha -----
+    # ----- the sigma ladder -----
 
-    def _build_tables(self, a_hi: float):
-        span = a_hi - self.a0
-        a = np.concatenate([[self.a0],
-                            self.a0 + np.geomspace(max(1e-9, span * 1e-7), span,
-                                                   _ALPHA_TABLE_SIZE)])
-        sig = np.stack([self.profiles[e].sigma(a) for e in self._edge_list])
-        return a, self._circuit_edge_count @ sig  # (n_a,), (n_circuits, n_a)
+    def _grow(self):
+        """Append the next ladder block; levels already present never change.
 
-    def _covering_tables(self, r: np.ndarray):
-        """A consistent (a_vals, S) snapshot bracketing every requested level."""
-        a_vals, S = self._tables
-        while np.any(r > S[:, -1][:, None] if r.ndim > 1 else r > S[:, -1]):
-            with self._table_lock:
-                a_vals, S = self._tables
-                if not np.any(r > S[:, -1][:, None] if r.ndim > 1
-                              else r > S[:, -1]):
-                    break
-                top = a_vals[-1]
-                if top - self.a0 > 1e12:
-                    raise ConvergenceFailure("circuit level tables grew unboundedly")
-                self._tables = self._build_tables(self.a0 + 2 * (top - self.a0))
-                a_vals, S = self._tables
-        return a_vals, S
+        Block k holds a0 + 4e-7 rho^j for j in [(k-1) B, k B), one doubling of
+        a - a0; the blocks are fixed, so every level is always computed alike.
+        """
+        if self._a[-1] - self.a0 > 1e12:
+            raise ConvergenceFailure("the sigma ladder grew unboundedly")
+        j0 = self._a.size - 1
+        a_new = self.a0 + _LADDER_START * _LADDER_RATIO ** np.arange(
+            j0, j0 + _LADDER_BLOCK)
+        sig = np.stack([self.profiles[e].sigma(a_new) for e in self._edge_list])
+        self._a = np.concatenate([self._a, a_new])
+        self._sig = np.concatenate([self._sig, sig], axis=1)
+        self._S = np.concatenate([self._S, self._circuit_edge_count @ sig], axis=1)
+
+    def _cover(self, r: np.ndarray):
+        """Grow until every circuit sum at the top level exceeds its r."""
+        while np.any(r >= self._S[:, -1]):
+            self._grow()
+        return self._a, self._S
 
     def _circuit_sum(self, ci: int, a: float) -> float:
         counts = self._circuit_edge_count[ci]
         return float(sum(counts[j] * self.profiles[e].sigma(a)
                          for j, e in enumerate(self._edge_list) if counts[j]))
+
+    # ----- alpha -----
 
     def alpha_batch(self, P: np.ndarray) -> np.ndarray:
         """Interpolated effective Hamiltonian at each row of P (shape (m, b))."""
@@ -117,7 +132,7 @@ class MatherSolver:
         if not self.circuits:
             return np.full(P.shape[0], self.a0)
         r = P @ self.circuit_theta.T  # (m, n_circuits)
-        a_vals, S = self._covering_tables(r.T)
+        a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
         out = np.full(P.shape[0], self.a0)
         for ci in range(len(self.circuits)):
             a_req = np.interp(r[:, ci], S[ci], a_vals)
@@ -130,7 +145,7 @@ class MatherSolver:
         if not self.circuits:
             return self.a0
         r = self.circuit_theta @ p
-        a_vals, S = self._covering_tables(r)
+        a_vals, S = self._cover(r)
         cand = np.full(len(self.circuits), self.a0)
         for ci in range(len(self.circuits)):
             cand[ci] = max(self.a0, float(np.interp(r[ci], S[ci], a_vals)))
@@ -141,9 +156,7 @@ class MatherSolver:
         for ci in np.nonzero(cand >= best - 1e-3)[0]:
             if self._circuit_sum(ci, self.a0) >= r[ci]:
                 continue
-            hi = a_vals[-1]
-            while self._circuit_sum(ci, hi) < r[ci]:
-                hi = self.a0 + 2 * (hi - self.a0)
+            hi = a_vals[max(1, np.searchsorted(S[ci], r[ci], side="right"))]
             root = brentq(lambda a: self._circuit_sum(ci, a) - r[ci],
                           self.a0, hi, xtol=1e-11)
             val = max(val, float(root))
@@ -194,15 +207,33 @@ class MatherSolver:
     # ----- beta by closed-flow linear programming -----
 
     def _lagrangian_grid(self, speeds: np.ndarray) -> np.ndarray:
-        """L(e, q) on a speed grid for every directed edge, batched over a."""
-        a = self._tables[0]
+        """L(e, q) = max over ladder levels a of q sigma(e, a) - a, per edge.
+
+        The ladder grows until, on every edge, the top speed's maximizing
+        level is interior.  The maximizer moves up with q, so that certifies
+        every speed.  A parabola through the discrete maximum and its two
+        neighbours (sigma is concave) removes the O(spacing^2) grid error.
+        """
+        q_top = speeds.max()
+        while np.any((q_top * self._sig - self._a).argmax(axis=1)
+                     == self._a.size - 1):
+            self._grow()
+        a = self._a
         out = np.empty((len(self._edge_list), speeds.size))
         for j, e in enumerate(self._edge_list):
-            prof = self.profiles[e]
-            sig = prof.sigma(a)
-            vals = speeds[:, None] * sig[None, :] - a[None, :]
-            out[j] = vals.max(axis=1)
-            out[j, speeds == 0.0] = -prof.a_e
+            for lo in range(0, speeds.size, _SPEED_CHUNK):
+                q = speeds[lo:lo + _SPEED_CHUNK]
+                vals = q[:, None] * self._sig[j] - a
+                k = vals.argmax(axis=1)
+                idx = np.maximum(k, 1)[:, None] + np.arange(-1, 2)
+                x, y = a[idx], np.take_along_axis(vals, idx, axis=1)
+                d1, d2 = np.diff(y, axis=1).T / np.diff(x, axis=1).T
+                c = (d2 - d1) / (x[:, 2] - x[:, 0])
+                m = d1 + c * (x[:, 1] - x[:, 0])  # slope at the middle level
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    peak = np.where(c < 0, y[:, 1] - m**2 / (4 * c), y[:, 1])
+                out[j, lo:lo + q.size] = np.where(k > 0, peak, vals[:, 0])
+            out[j, speeds == 0.0] = -self.profiles[e].a_e
         return out
 
     def _flow_lp(self, h: np.ndarray, speeds: np.ndarray):
@@ -269,16 +300,14 @@ class MatherSolver:
 
 
 _solver_memo: dict[tuple[int, int, int], tuple] = {}
-_solver_lock = threading.Lock()
 
 
 def get_solver(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles) -> MatherSolver:
     """Shared solver per (graph, theta, profiles); inputs are kept alive."""
     key = (id(g), id(tm), id(profiles))
-    with _solver_lock:
-        if key not in _solver_memo:
-            _solver_memo[key] = (MatherSolver(g, tm, profiles), g, tm, profiles)
-        return _solver_memo[key][0]
+    if key not in _solver_memo:
+        _solver_memo[key] = (MatherSolver(g, tm, profiles), g, tm, profiles)
+    return _solver_memo[key][0]
 
 
 def beta(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, h,

@@ -108,16 +108,20 @@ def test_asymptotics_schema(files, capsys):
     assert len(lines) == 3
 
 
-def test_determinism_and_threads(files):
-    args = ["effective-hamiltonian", "--graph", files["bouquet.json"],
-            "--hamiltonians", files["bouquet_ham.json"],
-            "--p-grid", "-1", "1", "5", "--seed", "7"]
-    outs = []
-    for name, extra in [("a.csv", []), ("b.csv", []), ("c.csv", ["--threads", "2"])]:
+def test_determinism(files):
+    """Each beta row depends on its h only, not on the h queried before it."""
+    hs = ["1,1", "3,-2", "0.5,0", "-1,0.25"]
+    rows = []
+    for name, order in [("fwd.csv", hs), ("rev.csv", hs[::-1])]:
         out = files["tmp"] / name
-        assert main(args + ["--out", str(out)] + extra) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+        assert main(["beta", "--graph", files["bouquet.json"],
+                     "--hamiltonians", files["bouquet_ham.json"],
+                     "--out", str(out)] + [f"--h={h}" for h in order]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "h_1,h_2,beta"
+        rows.append(sorted(lines[1:]))
+    assert rows[0] == rows[1]
+    assert any(r.startswith("3,-2,") for r in rows[0])
 
 
 def test_homogenize_zero_datum(files, capsys):

@@ -150,3 +150,50 @@ def test_drifted_model_duality(honeycomb):
     solver = MatherSolver(g, tm, profs)
     for h in [(1.0, 0.0), (-0.5, 0.8)]:
         assert solver.flow_oracle(h)[0] == pytest.approx(solver.beta(h), abs=1e-3)
+
+
+def test_answers_independent_of_query_history(honeycomb_cos):
+    """The sigma ladder only appends, so earlier queries never move answers."""
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-2, 2, size=(50, 2))
+    H = rng.uniform(-3, 3, size=(8, 2))
+
+    def answers(solver, order):
+        batch = solver.alpha_batch(P)
+        alphas = {i: solver.alpha(H[i]) for i in order}
+        betas = {i: solver.beta(H[i]) for i in order}
+        return batch.tolist(), alphas, betas
+
+    solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
+    first = answers(solver, range(8))
+    solver.beta((6.0, 5.0))
+    assert answers(solver, range(8)) == first
+
+    solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
+    betas = {i: solver.beta(H[i]) for i in reversed(range(8))}
+    alphas = {i: solver.alpha(H[i]) for i in reversed(range(8))}
+    assert (solver.alpha_batch(P).tolist(), alphas, betas) == first
+
+
+def test_flow_oracle_on_fresh_solver(honeycomb_cos):
+    solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
+    assert abs(solver.flow_oracle((2.0, 2.0))[0] - solver.beta((2.0, 2.0))) <= 1e-3
+
+
+def test_lagrangian_grid_is_certified(honeycomb_cos):
+    """Flow-LP costs are max over a >= a0 of q sigma(e, a) - a, to 1e-6.
+
+    That is the edge Lagrangian wherever its maximizing level lies above a0,
+    and q sigma(e, a0) - a0 below; the grid never truncates at the top.
+    """
+    solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
+    a0 = solver.a0
+    speeds = np.array([0.0, 0.3, 1.0, 2.0, 4.0, 8.0, 12.0])
+    grid = solver._lagrangian_grid(speeds)
+    for j, e in enumerate(solver._edge_list):
+        prof = solver.profiles[e]
+        for q, cost in zip(speeds, grid[j]):
+            slope_at_a0 = q * (prof.sigma(a0 + 1e-7) - prof.sigma(a0)) / 1e-7 - 1
+            want = (prof.lagrangian(q) if q == 0 or slope_at_a0 > 0
+                    else q * prof.sigma(a0) - a0)
+            assert cost == pytest.approx(want, abs=1e-6)
