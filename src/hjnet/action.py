@@ -111,6 +111,11 @@ def crystal_potential(g: BaseGraph, tm: ThetaMap,
         g, tm, [profiles[e].sigma(profiles.a0) for e in sorted(g.edges)])
 
 
+def _level_weights(box: BoxGraph, profiles: EdgeProfiles, a_values) -> np.ndarray:
+    """sigma(e, a) per level (rows) and box edge (columns)."""
+    return np.stack([profiles[e].sigma(a_values) for e in box.edges], axis=1)
+
+
 class LiftedReach:
     """Cheapest walk weights sum sigma(e, a) from a box's source.
 
@@ -128,9 +133,8 @@ class LiftedReach:
         self.a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
         if potential is None:
             potential = crystal_potential(box.g, box.tm, profiles)
-        weights = np.stack([profiles[e].sigma(self.a_values) for e in box.edges],
-                           axis=1)
-        self.dist = box.distances(weights, potential)
+        self.dist = box.distances(_level_weights(box, profiles, self.a_values),
+                                  potential)
 
     def at(self, vertex: str, h):
         """Distance profile over the a-grid for one crystal vertex."""
@@ -155,9 +159,11 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
     box = BoxGraph(g, tm, CrystalVertex(query.x, (0,) * tm.betti), radius)
     potential = crystal_potential(g, tm, profiles)
+    target = box.index(query.y, h)
 
     def psi(a_values) -> np.ndarray:
-        return LiftedReach(box, profiles, a_values, potential).at(query.y, h)
+        return box.distances(_level_weights(box, profiles, a_values), potential,
+                             at=target)
 
     for _ in range(20):
         grid = _a_grid(a0, offset, query.a_grid)
@@ -273,10 +279,10 @@ def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     """Deviations |Phi(x,y,T, floor(T dir))/T - beta(h/T)| along a T schedule."""
     solver = get_solver(g, tm, profiles)
     direction = np.asarray(h_direction, dtype=float)
-    rows = []
-    for T in T_list:
-        h = tuple(int(k) for k in np.floor(T * direction))
-        phi = min_action(g, tm, profiles, ActionQuery(x, y, float(T), h, **caps))
-        bval = solver.beta(np.asarray(h, dtype=float) / T)
-        rows.append(ScanRow(float(T), h, phi / T, bval, abs(phi / T - bval)))
-    return rows
+    hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
+    phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h, **caps)) / T
+            for T, h in zip(T_list, hs)]
+    betas = solver.beta_batch([np.asarray(h, dtype=float) / T
+                               for T, h in zip(T_list, hs)]).tolist()
+    return [ScanRow(float(T), h, phi, bval, abs(phi - bval))
+            for T, h, phi, bval in zip(T_list, hs, phis, betas)]

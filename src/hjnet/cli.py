@@ -129,7 +129,7 @@ def cmd_beta(args):
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
     solver = get_solver(g, tm, profiles)
-    vals = [solver.beta(h, search_box=args.search_box) for h in hs]
+    vals = solver.beta_batch(np.array(hs), search_box=args.search_box).tolist()
     header = [f"h_{i+1}" for i in range(tm.betti)] + ["beta"]
     _write_csv(header, [list(h) + [v] for h, v in zip(hs, vals)], args.out)
     return 0
@@ -284,9 +284,14 @@ def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             defaults = json.load(fh)
+        options = set(vars(args)) - {"command", "fn", "config"}
+        unknown = [k for k in defaults if k.replace("-", "_") not in options]
+        if unknown:
+            raise HJNetError(f"--config key(s) {', '.join(map(repr, unknown))} "
+                             f"name no option of {args.command!r}")
         for key, value in defaults.items():
             attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, [], False):
+            if getattr(args, attr) in (None, [], False):
                 setattr(args, attr, value)
     return args
 

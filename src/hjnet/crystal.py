@@ -258,21 +258,26 @@ class BoxGraph:
         return dijkstra(self._graph, indices=self._source,
                         unweighted=True).reshape(self.shape)
 
-    def distances(self, weights, potential: Potential) -> np.ndarray:
+    def distances(self, weights, potential: Potential, at=None) -> np.ndarray:
         """Least walk weights from the source, one level per row of ``weights``.
 
         ``weights`` has shape (levels, len(edges)), and ``potential`` must
         make every row nonnegative (``reduced_weights``).  Returns an array of
-        shape (levels,) + shape.
+        shape (levels,) + shape, or of shape (levels,) for the single node
+        ``at`` (an ``index`` of this box).
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         shift = potential.edge_shift(self.g, self.tm, self.edges)
-        out = np.empty((weights.shape[0],) + self.shape)
-        for row, w in zip(out, weights):
+        full = at is None
+        node = None if full else np.ravel_multi_index(at, self.shape)
+        out = np.empty((weights.shape[0],) + (self.shape if full else ()))
+        for k, w in enumerate(weights):
             np.take(reduced_weights(w, shift), self._arc_edge, out=self._graph.data)
-            row.ravel()[:] = dijkstra(self._graph, indices=self._source)
+            d = dijkstra(self._graph, indices=self._source)
+            out[k] = d.reshape(self.shape) if full else d[node]
         if potential.d.any() or potential.p.any():
-            out += self._unshift(potential)
+            unshift = self._unshift(potential)
+            out += unshift if full else unshift[at]
         return out
 
     def _unshift(self, potential: Potential) -> np.ndarray:

@@ -249,15 +249,24 @@ def sigma(model, a, n_samples: int = DEFAULT_QUAD_SAMPLES):
 class EdgeProfile:
     """Cached numeric kernels for one directed edge."""
 
-    def __init__(self, edge_id: str, model, n_quad: int = DEFAULT_QUAD_SAMPLES):
+    def __init__(self, edge_id: str, model, n_quad: int = DEFAULT_QUAD_SAMPLES,
+                 critical: tuple[float, bool] | None = None):
+        """``critical`` is (a_e, fiber_min_is_constant) when already known."""
         self.edge_id = edge_id
         self.model = model
         self.n_quad = n_quad
         self._s = np.linspace(0.0, 1.0, n_quad)
-        self.a_e = critical_value(model)
-        fm = np.asarray(model.fiber_min(np.linspace(0, 1, 513)))
-        self.fiber_min_is_constant = bool(fm.max() - fm.min() <= 1e-9)
+        if critical is None:
+            fm = np.asarray(model.fiber_min(np.linspace(0, 1, 513)))
+            critical = (critical_value(model), bool(fm.max() - fm.min() <= 1e-9))
+        self.a_e, self.fiber_min_is_constant = critical
         self.b_e = self.sigma(self.a_e)
+
+    def reversed(self, edge_id: str) -> EdgeProfile:
+        """Profile of the reversed edge: by H_{-e}(s, rho) = H_e(1-s, -rho) its
+        fiber minima are these mirrored in s, so only b_e is recomputed."""
+        return EdgeProfile(edge_id, self.model.reversed(), self.n_quad,
+                           critical=(self.a_e, self.fiber_min_is_constant))
 
     def sigma(self, a):
         """sigma(e, a) for scalar or array a (a >= a_e)."""
@@ -358,8 +367,7 @@ def build_profiles(g: BaseGraph, models: dict[str, object],
     profiles = {}
     for e in g.orientation:
         profiles[e] = EdgeProfile(e, models[e], n_quad=n_quad)
-        profiles[g.reversed(e)] = EdgeProfile(g.reversed(e), models[e].reversed(),
-                                              n_quad=n_quad)
+        profiles[g.reversed(e)] = profiles[e].reversed(g.reversed(e))
     return EdgeProfiles(g, profiles)
 
 

@@ -14,8 +14,10 @@ inf-convolution
 
     u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
 
-computed on an adaptive grid around h.  The convergence experiment compares
-the two along a decreasing list of eps at nearest lattice vertices.
+computed on an adaptive grid of displacements around h; each grid level
+conjugates all its displacements in one ``MatherSolver.beta_batch`` call.
+The convergence experiment compares the two along a decreasing list of eps
+at nearest lattice vertices.
 """
 
 from __future__ import annotations
@@ -260,13 +262,6 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     L = _datum_lipschitz(datum, b)
     q_reach, _ = _reach_scales(solver, L)
 
-    def objective(qs):  # qs: (m, b) displacement grid
-        vals = np.empty(qs.shape[0])
-        for i, q in enumerate(qs):
-            vals[i] = datum.value(h - t * q) + t * solver.beta(
-                q, polish=False, levels=18)
-        return vals
-
     hw = max(1.0, q_reach)
     for _ in range(20):
         center = np.zeros(b)
@@ -277,7 +272,8 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                     for i in range(b)]
             qs = np.stack(np.meshgrid(*axes, indexing="ij"),
                           axis=-1).reshape(-1, b)
-            vals = objective(qs)
+            vals = (np.array([datum.value(h - t * q) for q in qs], dtype=float)
+                    + t * solver.beta_batch(qs, polish=False, levels=18))
             i = int(np.argmin(vals))
             if vals[i] < best_val:
                 best_val, best_q = float(vals[i]), qs[i]

@@ -19,6 +19,9 @@ as a query needs, and never changes a level, so answers are history-free.
 
 beta is the Fenchel conjugate of alpha, computed by adaptive grid refinement
 of the concave objective <p, h> - alpha(p) with automatic box expansion.
+``beta_batch`` refines one 9^b grid per h, each level in one ``alpha_batch``
+call over all grids (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat
+at b = 3); each row is computed as if alone, and ``beta`` is a one-row batch.
 An independent oracle realizes beta directly as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
@@ -45,7 +48,8 @@ _MAX_BOX_EXPANSIONS = 40
 _LADDER_START = 4e-7
 _LADDER_RATIO = 1e7 ** (1 / 11999)
 _LADDER_BLOCK = 516
-_SPEED_CHUNK = 32
+_SPEED_CHUNK = 8
+_ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
 
 
 @dataclass
@@ -129,14 +133,15 @@ class MatherSolver:
     def alpha_batch(self, P: np.ndarray) -> np.ndarray:
         """Interpolated effective Hamiltonian at each row of P (shape (m, b))."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        if not self.circuits:
-            return np.full(P.shape[0], self.a0)
-        r = P @ self.circuit_theta.T  # (m, n_circuits)
-        a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
         out = np.full(P.shape[0], self.a0)
-        for ci in range(len(self.circuits)):
-            a_req = np.interp(r[:, ci], S[ci], a_vals)
-            np.maximum(out, a_req, out=out)
+        if not self.circuits:
+            return out
+        for lo in range(0, P.shape[0], _ROW_CHUNK):
+            r = P[lo:lo + _ROW_CHUNK] @ self.circuit_theta.T  # (rows, n_circuits)
+            a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
+            part = out[lo:lo + _ROW_CHUNK]
+            for ci in range(len(self.circuits)):
+                np.maximum(part, np.interp(r[:, ci], S[ci], a_vals), out=part)
         return out
 
     def alpha(self, p, polish: bool = True) -> float:
@@ -164,45 +169,70 @@ class MatherSolver:
 
     # ----- beta by conjugation -----
 
-    def _refine_max(self, h: np.ndarray, center: np.ndarray, halfwidth: float,
-                    levels: int, pts: int = 9):
-        """Adaptive grid maximization of <p,h> - alpha(p); returns (p*, value)."""
-        b = h.size
-        best_p, best_val = center.copy(), -np.inf
+    def _refine_max(self, H: np.ndarray, halfwidth: float, levels: int,
+                    pts: int = 9):
+        """Adaptive grid maximization of <p, h> - alpha(p) for each row h of H.
+
+        Each row refines its own pts^b grid around its own best point; one
+        ``alpha_batch`` call per level evaluates the stacked grids of all
+        rows.  Returns (p*, value) per row.
+        """
+        m, b = H.shape
+        rows = np.arange(m)
+        grid = np.indices((pts,) * b).reshape(b, -1).T  # C-order multi-indices
+        center = np.zeros((m, b))
+        best_p, best_val = center.copy(), np.full(m, -np.inf)
         hw = halfwidth
         for _ in range(levels):
-            axes = [np.linspace(center[i] - hw, center[i] + hw, pts) for i in range(b)]
-            mesh = np.meshgrid(*axes, indexing="ij") if b else []
-            P = (np.stack([m.ravel() for m in mesh], axis=1)
-                 if b else np.zeros((1, 0)))
-            vals = P @ h - self.alpha_batch(P)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_p = P[i]
-            center = P[i]
+            axes = np.linspace(center - hw, center + hw, pts, axis=-1)  # (m, b, pts)
+            # (m, pts^b, b), C-contiguous so each row's BLAS call is the same
+            P = np.ascontiguousarray(axes[:, np.arange(b), grid])
+            vals = (np.matmul(P, H[:, :, None])[..., 0]
+                    - self.alpha_batch(P.reshape(-1, b)).reshape(m, -1))
+            i = vals.argmax(axis=1)
+            top, center = vals[rows, i], P[rows, i]
+            better = top > best_val
+            best_val[better] = top[better]
+            best_p[better] = center[better]
             hw /= 2.0
         return best_p, best_val
+
+    def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX,
+                   polish: bool = True, levels: int = 24,
+                   max_expansions: int = _MAX_BOX_EXPANSIONS) -> np.ndarray:
+        """beta at each row of H (shape (m, b)), with automatic box expansion.
+
+        Rows whose maximizer sits on the box boundary are re-run together at
+        twice the box; every row is computed as if it were alone.
+        """
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        if H.shape[1] == 0:
+            return np.full(H.shape[0], -self.alpha(np.zeros(0)))
+        if search_box <= 0:
+            raise ValueError("search_box must be positive")
+        out = np.empty(H.shape[0])
+        todo = np.arange(H.shape[0])
+        hw = float(search_box)
+        for _ in range(max_expansions + 1):
+            p_star, val = self._refine_max(H[todo], hw, levels)
+            inside = np.abs(p_star).max(axis=1) < hw * (1 - 1e-9)
+            if polish:
+                for k in np.nonzero(inside)[0]:
+                    val[k] = p_star[k] @ H[todo[k]] - self.alpha(p_star[k])
+            out[todo[inside]] = val[inside]
+            todo = todo[~inside]
+            if not todo.size:
+                return out
+            hw *= 2.0
+        raise BoxExpansionLimit(
+            f"conjugation maximizer still on the boundary at box {hw}")
 
     def beta(self, h, search_box: float = DEFAULT_SEARCH_BOX,
              polish: bool = True, levels: int = 24,
              max_expansions: int = _MAX_BOX_EXPANSIONS) -> float:
         """sup over p of <p, h> - alpha(p), with automatic box expansion."""
-        h = np.asarray(h, dtype=float)
-        if h.size == 0:
-            return -self.alpha(h)
-        if search_box <= 0:
-            raise ValueError("search_box must be positive")
-        hw = float(search_box)
-        for _ in range(max_expansions + 1):
-            p_star, val = self._refine_max(h, np.zeros(h.size), hw, levels)
-            if np.max(np.abs(p_star)) < hw * (1 - 1e-9):
-                if polish:
-                    val = float(p_star @ h - self.alpha(p_star))
-                return val
-            hw *= 2.0
-        raise BoxExpansionLimit(
-            f"conjugation maximizer still on the boundary at box {hw}")
+        return float(self.beta_batch(np.asarray(h, dtype=float)[None], search_box,
+                                     polish, levels, max_expansions)[0])
 
     # ----- beta by closed-flow linear programming -----
 

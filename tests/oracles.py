@@ -107,12 +107,22 @@ def sweep_reach(g, tm, profiles, source_vertex, source_h, radius, a_values,
     passes than box nodes would mean a negative cycle.
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
+    weights = np.stack([profiles[e].sigma(a_values) for e in sorted(g.edges)], axis=1)
+    return sweep_weights(g, tm, weights, source_vertex, radius, reverse)
+
+
+def sweep_weights(g, tm, weights, source_vertex, radius, reverse=False):
+    """``sweep_reach`` for given weights of shape (levels, len(g.edges)).
+
+    Columns follow ``sorted(g.edges)``, as in ``BoxGraph.distances``.
+    """
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
     b, n = tm.betti, 2 * radius + 1
     vindex = {v: i for i, v in enumerate(g.vertices)}
-    dist = np.full((a_values.size, len(g.vertices)) + (n,) * b, np.inf)
+    dist = np.full((weights.shape[0], len(g.vertices)) + (n,) * b, np.inf)
     dist[(slice(None), vindex[source_vertex]) + (radius,) * b] = 0.0
-    w = {e: np.asarray(profiles[e].sigma(a_values)).reshape((-1,) + (1,) * b)
-         for e in g.edges}
+    w = {e: col.reshape((-1,) + (1,) * b)
+         for e, col in zip(sorted(g.edges), weights.T)}
     for _ in range(len(g.vertices) * n ** b + 1):
         improved = False
         for e in sorted(g.edges):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjnet import action, build_graph, spanning_tree, theta_map
+from hjnet import build_graph, spanning_tree, theta_map
 from hjnet.action import ActionQuery, LiftedReach, crystal_potential, min_action
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import (BoxGraph, Crystal, CrystalVertex, Potential,
@@ -21,7 +21,7 @@ from hjnet.crystal import (BoxGraph, Crystal, CrystalVertex, Potential,
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import NegativeReducedWeight
 
-from oracles import sweep_reach
+from oracles import sweep_reach, sweep_weights
 
 
 @st.composite
@@ -115,22 +115,30 @@ class TestDriftedLoop:
     def test_min_action_matches_oracle_sweep(self, drifted_loop, monkeypatch):
         g, tm, profs = drifted_loop
 
-        class SweepReach:
-            def __init__(self, box, profiles, a_values, potential=None):
-                self.box = box
-                self.dist = sweep_reach(box.g, box.tm, profiles, box.source.base,
-                                        box.source.h, box.radius, a_values,
-                                        reverse=box.reverse)
-
-            def at(self, vertex, h):
-                return self.dist[(slice(None),) + self.box.index(vertex, h)]
+        def swept(box, weights, potential, at=None):
+            dist = sweep_weights(box.g, box.tm, weights, box.source.base,
+                                 box.radius, reverse=box.reverse)
+            return dist if at is None else dist[(slice(None),) + at]
 
         queries = [ActionQuery("v", "v", T, h) for T, h in
                    [(1.0, (0,)), (2.0, (3,)), (4.0, (-2,)), (8.0, (5,))]]
         got = [min_action(g, tm, profs, q) for q in queries]
-        monkeypatch.setattr(action, "LiftedReach", SweepReach)
+        monkeypatch.setattr(BoxGraph, "distances", swept)
         want = [min_action(g, tm, profs, q) for q in queries]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_single_node_distances(self, drifted_loop):
+        g, tm, profs = drifted_loop
+        box = BoxGraph(g, tm, CrystalVertex("v", (0,)), 4)
+        pot = crystal_potential(g, tm, profs)
+        assert pot.p.any()  # the unshift path is exercised
+        a = profs.a0 + np.array([0.0, 0.3, 2.0])
+        full = LiftedReach(box, profs, a, pot).dist
+        w = np.stack([profs[e].sigma(a) for e in box.edges], axis=1)
+        for h in [(0,), (3,), (-4,)]:
+            at = box.index("v", h)
+            np.testing.assert_array_equal(box.distances(w, pot, at=at),
+                                          full[(slice(None),) + at])
 
     def test_negative_reduced_weight_raises(self, drifted_loop):
         g, tm, profs = drifted_loop

@@ -168,3 +168,13 @@ def test_config_file_defaults(files, capsys):
                  "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert float(lines[1].split(",")[-1]) == pytest.approx(2.0, abs=1e-5)
+
+
+def test_config_rejects_unknown_keys(files, capsys):
+    cfg = files["tmp"] / "bad_cfg.json"
+    cfg.write_text(json.dumps({"threads": 4, "hh": ["9,9"], "h": ["1,1"]}))
+    assert main(["beta", "--graph", files["bouquet.json"],
+                 "--hamiltonians", files["bouquet_ham.json"],
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'threads'" in err and "'hh'" in err and "'h'" not in err

@@ -199,6 +199,18 @@ class TestTabulated:
         with pytest.raises(NonConvexModel):
             TabulatedEdgeModel(s, rho, vals)
 
+    def test_reversed_profile_reflects_critical_value(self):
+        models = [DRIFTED, QuadraticEdgeModel(potential=TrigPoly(cos=(-0.5,),
+                                                                 sin=(0.3,))),
+                  self._from_quadratic(DRIFTED)]
+        for model in models:
+            rev = EdgeProfile("e", model).reversed("e~")
+            fresh = EdgeProfile("e~", model.reversed())
+            assert rev.a_e == pytest.approx(critical_value(model.reversed()),
+                                            abs=1e-12)
+            assert rev.b_e == pytest.approx(fresh.b_e, abs=1e-12)
+            assert rev.fiber_min_is_constant == fresh.fiber_min_is_constant
+
     def test_reversal_of_tabulated(self):
         drift_tab = self._from_quadratic(DRIFTED, n_s=81, n_rho=321)
         rev = drift_tab.reversed()

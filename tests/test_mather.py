@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hjnet import build_graph, mather, spanning_tree, theta_map
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import BoxExpansionLimit
 from hjnet.mather import (MatherSolver, beta, beta_flow_oracle,
@@ -121,8 +124,7 @@ def conjugate_of_beta(solver, p, box=12.0, levels=16):
         axes = [np.linspace(center[i] - hw, center[i] + hw, 7)
                 for i in range(p.size)]
         H = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.size)
-        vals = np.array([H[j] @ p - solver.beta(H[j], polish=False, levels=16)
-                         for j in range(len(H))])
+        vals = H @ p - solver.beta_batch(H, polish=False, levels=16)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         center = H[i]
@@ -197,3 +199,46 @@ def test_lagrangian_grid_is_certified(honeycomb_cos):
             want = (prof.lagrangian(q) if q == 0 or slope_at_a0 > 0
                     else q * prof.sigma(a0) - a0)
             assert cost == pytest.approx(want, abs=1e-6)
+
+
+def test_beta_batch_rows_independent(honeycomb_cos, monkeypatch):
+    """Each beta_batch row is bit-identical to beta of that row alone."""
+    rng = np.random.default_rng(21)
+    # |h| near 6 keeps the maximizer on the default box: those rows expand
+    H = np.concatenate([[[6.0, 0.5], [-5.8, 6.1], [0.0, 0.0]],
+                        rng.uniform(-2, 2, size=(5, 2))])
+    solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
+    for polish in (True, False):
+        want = [solver.beta(h, polish=polish) for h in H]
+        order = rng.permutation(len(H))
+        assert solver.beta_batch(H, polish=polish).tolist() == want
+        assert solver.beta_batch(H[order], polish=polish).tolist() == [
+            want[i] for i in order]
+    with pytest.raises(BoxExpansionLimit):
+        solver.beta_batch(H, max_expansions=0)
+    with pytest.raises(ValueError):
+        solver.beta_batch(H, search_box=0.0)
+
+    # b = 3: a batch of 3 x 9^3 grid rows per level crosses chunk boundaries
+    g = build_graph({"vertices": list("abcd"),
+                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
+                               for u, v in itertools.combinations("abcd", 2)]})
+    tm = theta_map(g, spanning_tree(g))
+    drift = {"kab": 0.25, "kbc": -0.15, "kcd": 0.4}
+    solver = MatherSolver(g, tm, build_profiles(g, {
+        e: QuadraticEdgeModel(drift=TrigPoly(const=drift.get(e, 0.0)),
+                              potential=TrigPoly(cos=(-0.5,)))
+        for e in g.orientation}))
+    H = rng.uniform(-1, 1, size=(3, 3))
+    want = [solver.beta(h) for h in H]
+    monkeypatch.setattr(mather, "_ROW_CHUNK", 500)
+    assert solver.beta_batch(H).tolist() == want
+
+    # b = 0: a tree, beta = -alpha = -a0 on every row
+    g = build_graph({"vertices": ["u", "w"],
+                     "edges": [{"id": "t", "from": "u", "to": "w"}]})
+    profs = build_profiles(g, {"t": QuadraticEdgeModel(
+        potential=TrigPoly(cos=(-1.0,)))})
+    solver = MatherSolver(g, theta_map(g, spanning_tree(g)), profs)
+    assert solver.beta_batch(np.zeros((2, 0))).tolist() == [-profs.a0] * 2
+    assert solver.beta(()) == -profs.a0
