@@ -42,7 +42,6 @@ from .edge_calculus import (
     edge_action,
     flux_limiter,
     load_hamiltonians,
-    sigma,
     sigma_plus,
 )
 from .cell_problem import (

@@ -107,13 +107,12 @@ def crystal_potential(g: BaseGraph, tm: ThetaMap,
     Feasible at a0 and sigma increases in a, so one potential serves every
     level of every reach on this network.
     """
-    return johnson_potential(
-        g, tm, [profiles[e].sigma(profiles.a0) for e in sorted(g.edges)])
+    return johnson_potential(g, tm, profiles.sigma_all(profiles.a0))
 
 
 def _level_weights(box: BoxGraph, profiles: EdgeProfiles, a_values) -> np.ndarray:
-    """sigma(e, a) per level (rows) and box edge (columns)."""
-    return np.stack([profiles[e].sigma(a_values) for e in box.edges], axis=1)
+    """sigma(e, a) per level (rows) and box edge (columns, sorted like the graph's)."""
+    return profiles.sigma_all(np.atleast_1d(a_values)).T
 
 
 class LiftedReach:

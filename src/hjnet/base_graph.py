@@ -61,6 +61,12 @@ class BaseGraph:
         for e in sorted(self.edges):
             star[self.edges[e].origin].append(e)
         self._star = {v: tuple(es) for v, es in star.items()}
+        # positions in self.vertices of each edge's endpoints, sorted edge order
+        vindex = {v: i for i, v in enumerate(self.vertices)}
+        self.origin_index = np.array([vindex[self.edges[e].origin]
+                                      for e in sorted(self.edges)], dtype=np.intp)
+        self.terminus_index = np.array([vindex[self.edges[e].terminus]
+                                        for e in sorted(self.edges)], dtype=np.intp)
 
     def origin(self, edge_id: str) -> str:
         return self.edges[edge_id].origin
@@ -162,7 +168,8 @@ class ThetaMap:
     basis vector on the j-th positive non-tree edge, and odd under reversal.
     ``circuits[e]`` stores, for each basis edge, the fundamental circuit it
     closes through the tree (as a Path); its incidence vector is the basis
-    element in the full edge-space coordinates.
+    element in the full edge-space coordinates.  ``matrix`` stacks the theta
+    vectors in sorted edge order, shape (|E|, b).
     """
 
     tree: SpanningTree
@@ -170,6 +177,11 @@ class ThetaMap:
     basis_edges: tuple[str, ...]
     theta: dict[str, np.ndarray]
     circuits: dict[str, Path] = field(default_factory=dict)
+    matrix: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.matrix = np.array([self.theta[e] for e in sorted(self.theta)],
+                               dtype=int).reshape(len(self.theta), self.betti)
 
 
 def _tree_path(g: BaseGraph, t: SpanningTree, start: str, goal: str) -> Path:

@@ -11,6 +11,14 @@ critical level
 is found by sign bisection on the minimum cycle mean.  The minimum cycle
 mean (Karp) is a finite stand-in for the infimum of cycle weights: both have
 the same sign, and they agree on single-edge circuits.
+
+The weights of all edges come from one ``EdgeProfiles.sigma_all`` call and
+the stacked theta matrix.  Karp's table D[k, v], the least weight of a k-edge
+walk from the first vertex to v, is filled one k at a time with a single
+``np.minimum.at`` over the edge index arrays of the graph; the final
+min over v of max over k of (D[n, v] - D[k, v]) / (n - k) is one array
+expression (Dasdan, ACM TODAES 9(4), 2004, surveys Karp's algorithm and its
+variants).
 """
 
 from __future__ import annotations
@@ -38,11 +46,17 @@ class CellWeights:
     @classmethod
     def build(cls, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, p, a: float):
         p = np.asarray(p, dtype=float)
-        w = {e: float(profiles[e].sigma(a)) - float(p @ tm.theta[e]) for e in g.edges}
-        return cls(p, float(a), w)
+        w = _edge_weights(tm, profiles, p, a)
+        return cls(p, float(a), dict(zip(sorted(g.edges), w.tolist())))
 
     def of_path(self, path: Path) -> float:
         return sum(self.weights[e] for e in path.edges)
+
+
+def _edge_weights(tm: ThetaMap, profiles: EdgeProfiles, p: np.ndarray,
+                  a: float) -> np.ndarray:
+    """sigma(e, a) - <p, theta(e)> in sorted edge order."""
+    return profiles.sigma_all(a) - tm.matrix @ p
 
 
 def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
@@ -53,31 +67,18 @@ def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     cycle weight is exactly zero; this sign is the solvability certificate
     for the cell problem at level a.
     """
-    p = np.asarray(p, dtype=float)
-    vindex = {v: i for i, v in enumerate(g.vertices)}
+    w = _edge_weights(tm, profiles, np.asarray(p, dtype=float), a)
     n = len(g.vertices)
-    edges = [(vindex[g.origin(e)], vindex[g.terminus(e)],
-              float(profiles[e].sigma(a)) - float(p @ tm.theta[e]))
-             for e in sorted(g.edges)]
     # Karp: D[k, v] = min weight of a k-edge walk from the source to v
     D = np.full((n + 1, n), np.inf)
     D[0, 0] = 0.0
     for k in range(1, n + 1):
-        row = D[k]
-        prev = D[k - 1]
-        for o, t, w in edges:
-            cand = prev[o] + w
-            if cand < row[t]:
-                row[t] = cand
-    best = np.inf
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        ks = np.arange(n)
-        finite = np.isfinite(D[ks, v])
-        vals = (D[n, v] - D[ks[finite], v]) / (n - ks[finite])
-        best = min(best, float(vals.max()))
-    return best
+        np.minimum.at(D[k], g.terminus_index, D[k - 1, g.origin_index] + w)
+    # D[n, v] finite implies D[k, v] finite for some k < n; the infinite
+    # D[k, v] give -inf means and inf - inf rows are dropped with their v
+    with np.errstate(invalid="ignore"):
+        means = ((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0)
+    return float(means[np.isfinite(D[n])].min(initial=np.inf))
 
 
 def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,

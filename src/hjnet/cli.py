@@ -34,6 +34,13 @@ def _int_vector(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+def _check_dim(vec: tuple, b: int, what: str) -> tuple:
+    """vec unchanged if it has b entries; HJNetError naming ``what`` otherwise."""
+    if len(vec) != b:
+        raise HJNetError(f"{what} {vec} has wrong dimension (betti = {b})")
+    return vec
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
@@ -108,10 +115,7 @@ def _p_list(args, b):
                   for pt in np.stack([m.ravel() for m in mesh], axis=1))
     if not ps:
         raise HJNetError("no p vectors given (use --p or --p-grid)")
-    for p in ps:
-        if len(p) != b:
-            raise HJNetError(f"p vector {p} has wrong dimension (betti = {b})")
-    return ps
+    return [_check_dim(p, b, "p vector") for p in ps]
 
 
 def cmd_effective_hamiltonian(args):
@@ -125,7 +129,7 @@ def cmd_effective_hamiltonian(args):
 
 def cmd_beta(args):
     g, tm, profiles = _load_setup(args)
-    hs = [_vector(s) for s in (args.h or [])]
+    hs = [_check_dim(_vector(s), tm.betti, "h vector") for s in (args.h or [])]
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
     solver = get_solver(g, tm, profiles)
@@ -137,7 +141,7 @@ def cmd_beta(args):
 
 def cmd_action(args):
     g, tm, profiles = _load_setup(args)
-    h = _int_vector(args.h)
+    h = _check_dim(_int_vector(args.h), tm.betti, "h vector")
     query = ActionQuery(args.x, args.y, args.T, h,
                         rotation_radius=args.rotation_radius)
     phi = min_action(g, tm, profiles, query)
@@ -150,8 +154,9 @@ def cmd_action(args):
 
 def cmd_asymptotics(args):
     g, tm, profiles = _load_setup(args)
-    rows = asymptotics_scan(g, tm, profiles, args.x, args.y,
-                            _vector(args.h_direction), _vector(args.T_list))
+    direction = _check_dim(_vector(args.h_direction), tm.betti, "h direction")
+    rows = asymptotics_scan(g, tm, profiles, args.x, args.y, direction,
+                            _vector(args.T_list))
     header = (["T"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["phi_over_T", "beta", "deviation"])
     _write_csv(header, [[r.T] + list(r.h) + [r.phi_over_T, r.beta, r.deviation]
@@ -162,7 +167,7 @@ def cmd_asymptotics(args):
 def _datum(args, b):
     if args.datum == "linear":
         p = _vector(args.p_datum) if args.p_datum else (0.0,) * b
-        return LinearDatum(p)
+        return LinearDatum(_check_dim(p, b, "--p-datum"))
     if args.datum == "cone":
         return ConeDatum(args.c)
     if args.datum == "zero":
@@ -180,7 +185,8 @@ def cmd_homogenize(args):
     samples = []
     for part in args.samples.split(";"):
         hpart, tpart = part.split("@")
-        samples.append((_vector(hpart), float(tpart)))
+        samples.append((_check_dim(_vector(hpart), tm.betti, "sample h"),
+                        float(tpart)))
     grid = ExperimentGrid(tuple(samples), _vector(args.eps), radius=args.radius)
     report = convergence_experiment(g, tm, profiles, _datum(args, tm.betti), grid)
     header = (["eps"] + [f"h_{i+1}" for i in range(tm.betti)]

@@ -16,10 +16,22 @@ From the model we derive, per directed edge:
 Two model families are supported: quadratic-in-momentum with trigonometric
 polynomial drift/potential (closed-form level sets), and tabulated samples
 with piecewise-linear convex interpolation.
+
+sigma is a Simpson sum w over the grid s_i = i/(n-1).  Each ``EdgeProfile``
+samples the level-independent part of its integrand once (its grid kernel):
+for a quadratic model beff = drift and c0 = beff^2 - 2 kappa V, so that
+sigma(a) = ((sqrt(max(c0 + 2 kappa a, 0)) - beff) / kappa) @ w; a tabulated
+model keeps its s-blended columns and searches the crossing per level.  A
+reversed profile mirrors the forward kernel in s.  ``EdgeProfiles.sigma_all``
+evaluates every directed edge at once from the stacked kernels; the cell
+problem, the Mather ladder and the reach weights read it.  Path actions start
+at their support's largest a_e, which may lie below a0, so they sum the
+per-edge kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +44,19 @@ from .errors import DomainError, LevelBelowMinimum, NonConvexModel
 
 DEFAULT_QUAD_SAMPLES = 257
 _CRIT_GRID = 2049
+_STACK_CELLS = 1 << 18  # (edges x levels x grid) cells per sigma_all pass
+
+
+@functools.lru_cache(maxsize=None)
+def simpson_weights(n: int) -> np.ndarray:
+    """w with vals @ w the composite-Simpson integral of vals on linspace(0, 1, n).
+
+    Simpson's rule is linear in the samples, so w is its value on the unit
+    vectors; it is read-only because every profile of that grid size shares it.
+    """
+    w = simpson(np.eye(n), x=np.linspace(0.0, 1.0, n), axis=-1)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -92,6 +117,14 @@ class QuadraticEdgeModel:
     def sigma_minus(self, s, a):
         b, disc = self._discriminant(s, a)
         return (-b - np.sqrt(disc)) / self.kappa
+
+    def on_grid(self, n: int) -> QuadraticGrid:
+        """Grid kernel for Simpson's rule on n samples of [0, 1]."""
+        s = np.linspace(0.0, 1.0, n)
+        beff = self.drift(s)
+        return QuadraticGrid(self.kappa, beff,
+                             beff**2 - 2 * self.kappa * self.potential(s),
+                             simpson_weights(n))
 
     def reversed(self):
         return ReversedEdgeModel(self)
@@ -189,6 +222,11 @@ class TabulatedEdgeModel:
         return np.stack([self._crossing(self._columns(s_arr), float(av), right=False)
                          for av in a_arr.ravel()]).reshape(a_arr.shape + s_arr.shape)
 
+    def on_grid(self, n: int) -> TabulatedGrid:
+        """Grid kernel for Simpson's rule on n samples of [0, 1]."""
+        return TabulatedGrid(self, self._columns(np.linspace(0.0, 1.0, n)),
+                             simpson_weights(n))
+
     def reversed(self):
         return ReversedEdgeModel(self)
 
@@ -212,8 +250,85 @@ class ReversedEdgeModel:
     def sigma_minus(self, s, a):
         return -self.base.sigma_plus(1.0 - np.asarray(s, dtype=float), a)
 
+    def on_grid(self, n: int):
+        return self.base.on_grid(n).reversed()
+
     def reversed(self):
         return self.base
+
+
+class QuadraticGrid:
+    """Grid kernel of quadratic models: sigma(a) = sqrt(q0 + 2 a / kappa) @ w - drift_w.
+
+    This is ((sqrt(max(c0 + 2 kappa a, 0)) - beff) / kappa) @ w divided through
+    by kappa (q0 = c0 / kappa^2), with the level-independent beff term
+    integrated once (drift_w).  ``kappa`` has shape (...) and ``beff``, ``c0``
+    shape (..., n): () for one edge, (edges, 1) for a stack, the 1 broadcasting
+    over levels.
+    """
+
+    def __init__(self, kappa, beff, c0, weights):
+        self.kappa = np.asarray(kappa, dtype=float)
+        self.beff = beff
+        self.c0 = c0
+        self.weights = weights
+        self._q0 = c0 / self.kappa[..., None] ** 2
+        self._q0_min = self._q0.min(axis=-1)
+        self._drift_w = (beff @ weights) / self.kappa
+
+    @classmethod
+    def stack(cls, grids) -> QuadraticGrid:
+        """One kernel for many edges of one grid size; levels have shape (edges, L)."""
+        return cls(np.stack([g.kappa for g in grids])[:, None],
+                   np.stack([g.beff for g in grids])[:, None, :],
+                   np.stack([g.c0 for g in grids])[:, None, :], grids[0].weights)
+
+    def sigma(self, a) -> np.ndarray:
+        """The Simpson integral at levels a, shape a.shape (one edge) or
+        (edges, L) (a stack)."""
+        a = np.asarray(a, dtype=float)
+        shift = (2.0 / self.kappa) * a
+        disc = self._q0 + shift[..., None]
+        # the least c0 + 2 kappa a, from the level-independent min of q0
+        low = ((self._q0_min + shift) * self.kappa**2).min(initial=0.0)
+        if low < 0.0:
+            if low < -1e-9 * max(1.0, float(np.abs(a).max(initial=0.0))):
+                raise LevelBelowMinimum("level a below the fiberwise minimum of H")
+            np.maximum(disc, 0.0, out=disc)
+        return np.sqrt(disc, out=disc) @ self.weights - self._drift_w
+
+    def reversed(self) -> QuadraticGrid:
+        """Kernel of the reversed model on the mirrored grid."""
+        return QuadraticGrid(self.kappa, -self.beff[..., ::-1], self.c0[..., ::-1],
+                             self.weights)
+
+
+class TabulatedGrid:
+    """Blended sample columns of a tabulated model on a grid, one row per s.
+
+    ``right`` selects the crossing of sigma_plus; the reversed model reads the
+    left crossing of the mirrored columns, negated.  The crossing is searched
+    per level.
+    """
+
+    def __init__(self, model: TabulatedEdgeModel, cols: np.ndarray, weights,
+                 right: bool = True):
+        self.model = model
+        self.cols = cols
+        self.weights = weights
+        self.right = right
+
+    def sigma(self, a) -> np.ndarray:
+        """The Simpson integral at levels a, shape a.shape."""
+        a = np.asarray(a, dtype=float)
+        rows = [self.model._crossing(self.cols, float(av), self.right)
+                for av in a.ravel()]
+        out = (np.stack(rows) @ self.weights).reshape(a.shape)
+        return out if self.right else -out
+
+    def reversed(self) -> TabulatedGrid:
+        return TabulatedGrid(self.model, self.cols[::-1], self.weights,
+                             not self.right)
 
 
 def critical_value(model) -> float:
@@ -236,37 +351,35 @@ def sigma_plus(model, a: float, s: float) -> float:
     return float(np.asarray(model.sigma_plus(np.array([s]), a))[0])
 
 
-def sigma(model, a, n_samples: int = DEFAULT_QUAD_SAMPLES):
-    """Composite-Simpson integral over s of sigma_plus at level a."""
-    s = np.linspace(0.0, 1.0, n_samples)
-    a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim == 0:
-        return float(simpson(np.asarray(model.sigma_plus(s, float(a_arr))), x=s))
-    vals = np.asarray(model.sigma_plus(s[None, :], a_arr.reshape(-1, 1)))
-    return simpson(vals, x=s, axis=-1).reshape(a_arr.shape)
-
-
 class EdgeProfile:
     """Cached numeric kernels for one directed edge."""
 
     def __init__(self, edge_id: str, model, n_quad: int = DEFAULT_QUAD_SAMPLES,
-                 critical: tuple[float, bool] | None = None):
-        """``critical`` is (a_e, fiber_min_is_constant) when already known."""
+                 critical: tuple[float, bool] | None = None, grid=None):
+        """``critical`` is (a_e, fiber_min_is_constant) and ``grid`` the
+        model's grid kernel, when already known."""
         self.edge_id = edge_id
         self.model = model
         self.n_quad = n_quad
-        self._s = np.linspace(0.0, 1.0, n_quad)
+        self.grid = grid if grid is not None else model.on_grid(n_quad)
         if critical is None:
             fm = np.asarray(model.fiber_min(np.linspace(0, 1, 513)))
-            critical = (critical_value(model), bool(fm.max() - fm.min() <= 1e-9))
+            # a_e must bound the fiber minima at the quadrature nodes, which
+            # the search grid of critical_value contains only for n_quad - 1
+            # dividing 2048
+            nodes = np.asarray(model.fiber_min(np.linspace(0, 1, n_quad)))
+            critical = (max(critical_value(model), float(nodes.max())),
+                        bool(fm.max() - fm.min() <= 1e-9))
         self.a_e, self.fiber_min_is_constant = critical
         self.b_e = self.sigma(self.a_e)
 
     def reversed(self, edge_id: str) -> EdgeProfile:
         """Profile of the reversed edge: by H_{-e}(s, rho) = H_e(1-s, -rho) its
-        fiber minima are these mirrored in s, so only b_e is recomputed."""
+        fiber minima and grid kernel are these mirrored in s, so only b_e is
+        recomputed."""
         return EdgeProfile(edge_id, self.model.reversed(), self.n_quad,
-                           critical=(self.a_e, self.fiber_min_is_constant))
+                           critical=(self.a_e, self.fiber_min_is_constant),
+                           grid=self.grid.reversed())
 
     def sigma(self, a):
         """sigma(e, a) for scalar or array a (a >= a_e)."""
@@ -274,12 +387,8 @@ class EdgeProfile:
         if np.any(a_arr < self.a_e - 1e-9):
             raise LevelBelowMinimum(
                 f"sigma({self.edge_id}) evaluated below the critical value {self.a_e}")
-        a_clip = np.maximum(a_arr, self.a_e)
-        if a_arr.ndim == 0:
-            vals = np.asarray(self.model.sigma_plus(self._s, float(a_clip)))
-            return float(simpson(vals, x=self._s))
-        vals = np.asarray(self.model.sigma_plus(self._s[None, :], a_clip.reshape(-1, 1)))
-        return simpson(vals, x=self._s, axis=-1).reshape(a_arr.shape)
+        vals = self.grid.sigma(np.maximum(a_arr, self.a_e))
+        return float(vals) if a_arr.ndim == 0 else vals
 
     def hamiltonian(self, rho: float) -> float:
         """Inverse of sigma: the a with sigma(e, a) = rho, for rho >= b_e."""
@@ -345,7 +454,10 @@ def edge_action(profile: EdgeProfile, T: float) -> float:
 
 @dataclass
 class EdgeProfiles:
-    """Profiles for every directed edge of a base graph."""
+    """Profiles for every directed edge of a base graph, all on one grid.
+
+    The quadratic grid kernels are stacked once, here, for ``sigma_all``.
+    """
 
     graph: BaseGraph
     profiles: dict[str, EdgeProfile]
@@ -353,9 +465,39 @@ class EdgeProfiles:
 
     def __post_init__(self):
         self.a0 = max(p.a_e for p in self.profiles.values())
+        self._ordered = [self.profiles[e] for e in sorted(self.graph.edges)]
+        self._a_e = np.array([p.a_e for p in self._ordered])
+        quad = [i for i, p in enumerate(self._ordered)
+                if isinstance(p.grid, QuadraticGrid)]
+        self._quad = np.array(quad, dtype=np.intp)
+        self._other = [i for i, p in enumerate(self._ordered) if i not in quad]
+        if quad:
+            self._stack = QuadraticGrid.stack([self._ordered[i].grid for i in quad])
 
     def __getitem__(self, edge_id: str) -> EdgeProfile:
         return self.profiles[edge_id]
+
+    def sigma_all(self, a) -> np.ndarray:
+        """sigma(e, a) of every directed edge, rows in sorted edge order.
+
+        Shape (|E|,) + a.shape, for a scalar a or an array of levels a >= a0;
+        quadratic edges are evaluated together, in level chunks.
+        """
+        a_arr = np.asarray(a, dtype=float)
+        if np.min(a_arr, initial=np.inf) < self.a0 - 1e-9:
+            worst = self._ordered[int(np.argmax(self._a_e))]
+            raise LevelBelowMinimum(
+                f"sigma({worst.edge_id}) evaluated below the critical value {worst.a_e}")
+        flat = a_arr.reshape(-1)
+        out = np.empty((len(self._ordered), flat.size))
+        if self._quad.size:
+            a_clip = np.maximum(flat, self._a_e[self._quad, None])
+            step = max(1, _STACK_CELLS // self._stack.c0.size)
+            for lo in range(0, flat.size, step):
+                out[self._quad, lo:lo + step] = self._stack.sigma(a_clip[:, lo:lo + step])
+        for i in self._other:
+            out[i] = self._ordered[i].sigma(flat)
+        return out.reshape((-1,) + a_arr.shape)
 
 
 def build_profiles(g: BaseGraph, models: dict[str, object],

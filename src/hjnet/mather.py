@@ -96,7 +96,7 @@ class MatherSolver:
             dtype=float).reshape(len(self.circuits), len(self._edge_list))
         # the sigma ladder: levels, per-edge sigma and circuit sums, append-only
         self._a = np.array([self.a0])
-        self._sig = np.stack([profiles[e].sigma(self._a) for e in self._edge_list])
+        self._sig = profiles.sigma_all(self._a)
         self._S = self._circuit_edge_count @ self._sig
 
     # ----- the sigma ladder -----
@@ -112,7 +112,7 @@ class MatherSolver:
         j0 = self._a.size - 1
         a_new = self.a0 + _LADDER_START * _LADDER_RATIO ** np.arange(
             j0, j0 + _LADDER_BLOCK)
-        sig = np.stack([self.profiles[e].sigma(a_new) for e in self._edge_list])
+        sig = self.profiles.sigma_all(a_new)
         self._a = np.concatenate([self._a, a_new])
         self._sig = np.concatenate([self._sig, sig], axis=1)
         self._S = np.concatenate([self._S, self._circuit_edge_count @ sig], axis=1)
@@ -124,9 +124,7 @@ class MatherSolver:
         return self._a, self._S
 
     def _circuit_sum(self, ci: int, a: float) -> float:
-        counts = self._circuit_edge_count[ci]
-        return float(sum(counts[j] * self.profiles[e].sigma(a)
-                         for j, e in enumerate(self._edge_list) if counts[j]))
+        return float(self._circuit_edge_count[ci] @ self.profiles.sigma_all(a))
 
     # ----- alpha -----
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from hjnet import build_graph, spanning_tree, theta_map
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
@@ -70,3 +71,31 @@ def drifted_loop():
     tm = theta_map(g, spanning_tree(g))
     profiles = build_profiles(g, {"f": QuadraticEdgeModel(drift=TrigPoly(const=2.0))})
     return g, tm, profiles
+
+
+@st.composite
+def networks(draw):
+    """Connected multigraphs on 1-4 vertices with self-loops, multi-edges and
+    drifted quadratic models (sigma < 0 where the drift dominates)."""
+    n_v = draw(st.integers(1, 4))
+    vertices = [f"v{i}" for i in range(n_v)]
+    ends = []
+    for i in range(1, n_v):
+        j = draw(st.integers(0, i - 1))
+        ends.append((vertices[i], vertices[j]) if draw(st.booleans())
+                    else (vertices[j], vertices[i]))
+    for _ in range(draw(st.integers(1 if n_v == 1 else 0, 3))):
+        ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
+    g = build_graph({"vertices": vertices,
+                     "edges": [{"id": f"e{k}", "from": u, "to": v}
+                               for k, (u, v) in enumerate(ends)]})
+    # sigma(e, a0) < 0 needs a drift on every edge, so drifts come as a set
+    drifted = draw(st.booleans())
+    models = {}
+    for e in g.orientation:
+        drift = (draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1, 1]))
+                 if drifted else draw(st.floats(-0.3, 0.3)))
+        models[e] = QuadraticEdgeModel(
+            kappa=draw(st.sampled_from([0.5, 1.0, 2.0])), drift=TrigPoly(const=drift),
+            potential=TrigPoly(cos=(draw(st.floats(-0.5, 0.5)),)))
+    return g, theta_map(g, spanning_tree(g)), build_profiles(g, models)

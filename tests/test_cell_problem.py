@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjnet import Path
 from hjnet.cell_problem import (CellWeights, convexity_probe,
                                 effective_hamiltonian, enumerate_circuits,
                                 min_cycle_weight)
 from hjnet.edge_calculus import (QuadraticEdgeModel, TrigPoly, build_profiles)
+from hjnet.errors import LevelBelowMinimum
+
+from conftest import networks
+from oracles import karp_min_cycle_mean, simpson_sigma
 
 
 def honeycomb_closed_form(p):
@@ -35,6 +41,39 @@ class TestMinCycleWeight:
         p = (0.8, -0.4)
         vals = [min_cycle_weight(g, tm, profs, p, a) for a in (1.0, 1.5, 2.5, 4.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(net=networks(), data=st.data())
+def test_min_cycle_weight_matches_karp_oracle(net, data):
+    """The vectorised Karp against the reference loop, on multigraphs with
+    loops, multi-edges and trees (b = 0)."""
+    g, tm, profs = net
+    p = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=tm.betti,
+                                    max_size=tm.betti)))
+    a = profs.a0 + data.draw(st.floats(1e-3, 5.0))
+    got = min_cycle_weight(g, tm, profs, p, a)
+    # the same weights through the loop: the same arithmetic, bit for bit
+    assert got == karp_min_cycle_mean(g, CellWeights.build(g, tm, profs, p, a).weights)
+    # weights from the pointwise Simpson oracle
+    ref = {e: simpson_sigma(profs[e].model, a) - float(p @ tm.theta[e])
+           for e in g.edges}
+    assert got == pytest.approx(karp_min_cycle_mean(g, ref), abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(net=networks(), gap=st.floats(1e-3, 2.0))
+def test_below_critical_level_raises(net, gap):
+    g, tm, profs = net
+    with pytest.raises(LevelBelowMinimum):
+        min_cycle_weight(g, tm, profs, np.zeros(tm.betti), profs.a0 - gap)
+    with pytest.raises(LevelBelowMinimum):
+        profs.sigma_all(np.array([profs.a0 + 1.0, profs.a0 - gap]))
+    top = profs[max(g.edges, key=lambda e: profs[e].a_e)]
+    with pytest.raises(LevelBelowMinimum):
+        top.sigma(top.a_e - gap)
+    with pytest.raises(LevelBelowMinimum):  # the kernel's own check, unclipped
+        top.grid.sigma(np.array([top.a_e, top.a_e - gap]))
 
 
 def test_cell_weights(bouquet_free):

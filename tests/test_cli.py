@@ -178,3 +178,39 @@ def test_config_rejects_unknown_keys(files, capsys):
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "'threads'" in err and "'hh'" in err and "'h'" not in err
+
+
+def _bouquet_args(files, *rest):
+    return [rest[0], "--graph", files["bouquet.json"],
+            "--hamiltonians", files["bouquet_ham.json"], *rest[1:]]
+
+
+def _rejects_dimension(files, capsys, argv, what):
+    assert main(_bouquet_args(files, *argv)) == 2
+    err = capsys.readouterr().err
+    assert what in err and "wrong dimension (betti = 2)" in err
+
+
+def test_beta_rejects_wrong_dimension(files, capsys):
+    _rejects_dimension(files, capsys, ["beta", "--h", "1,2,3"], "h vector")
+    _rejects_dimension(files, capsys, ["beta", "--h", "1,1", "--h", "1,2,3"],
+                       "h vector")
+
+
+def test_action_rejects_wrong_dimension(files, capsys):
+    _rejects_dimension(files, capsys, ["action", "--x", "v", "--y", "v", "--T", "8",
+                                       "--h", "1,2,3"], "h vector")
+
+
+def test_asymptotics_rejects_wrong_dimension(files, capsys):
+    _rejects_dimension(files, capsys, ["asymptotics", "--x", "v", "--y", "v",
+                                       "--h-direction", "0.5", "--T-list", "2,4"],
+                       "h direction")
+
+
+def test_homogenize_rejects_wrong_dimension(files, capsys):
+    _rejects_dimension(files, capsys, ["homogenize", "--samples", "0.5,0.25,1@1.0",
+                                       "--eps", "0.25"], "sample h")
+    _rejects_dimension(files, capsys, ["homogenize", "--datum", "linear",
+                                       "--p-datum", "1,0,0", "--samples",
+                                       "0.5,0.25@1.0", "--eps", "0.25"], "--p-datum")

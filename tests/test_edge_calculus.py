@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjnet.edge_calculus import (EdgeProfile, QuadraticEdgeModel,
                                  TabulatedEdgeModel, TrigPoly, build_profiles,
                                  critical_value, discrete_hamiltonian,
                                  discrete_lagrangian, edge_action, flux_limiter,
-                                 sigma, sigma_plus)
+                                 sigma_plus)
 from hjnet.errors import DomainError, LevelBelowMinimum, NonConvexModel
 
-from oracles import dp_edge_action_refined
+from oracles import dp_edge_action_refined, simpson_sigma
 
 FREE = QuadraticEdgeModel()
 COS = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))  # rho^2/2 - cos(2 pi s)
@@ -43,18 +45,70 @@ class TestSigmaPlus:
 
 class TestSigma:
     def test_free(self):
-        assert sigma(FREE, 2.0) == pytest.approx(2.0, abs=1e-12)
-        assert sigma(FREE, 0.0) == 0.0
+        p = EdgeProfile("e", FREE)
+        assert p.sigma(2.0) == pytest.approx(2.0, abs=1e-12)
+        assert p.sigma(0.0) == 0.0
 
     def test_cosine_analytic_integral(self):
         # int_0^1 sqrt(2 (1 + cos 2 pi s)) ds = 4 / pi
-        assert sigma(COS, 1.0) == pytest.approx(4.0 / np.pi, abs=1e-8)
+        assert EdgeProfile("e", COS).sigma(1.0) == pytest.approx(4.0 / np.pi,
+                                                                abs=1e-8)
 
     def test_batched_matches_scalar(self):
+        p = EdgeProfile("e", COS)
         a = np.array([1.0, 1.5, 3.0])
-        batched = sigma(COS, a)
+        batched = p.sigma(a)
         for i, ai in enumerate(a):
-            assert batched[i] == pytest.approx(sigma(COS, float(ai)), abs=1e-13)
+            assert batched[i] == pytest.approx(p.sigma(float(ai)), abs=1e-13)
+
+
+_COEF = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def edge_models(draw):
+    """Quadratic models with drift and potential, or tabulated samples of one."""
+    model = QuadraticEdgeModel(
+        kappa=draw(st.floats(0.5, 3.0)),
+        drift=TrigPoly(const=draw(_COEF), cos=(draw(_COEF),), sin=(draw(_COEF),)),
+        potential=TrigPoly(const=draw(_COEF), cos=(draw(_COEF),), sin=(draw(_COEF),)))
+    if draw(st.booleans()):
+        return model
+    s = np.linspace(0.0, 1.0, draw(st.integers(2, 9)))
+    rho = np.linspace(-16.0, 16.0, draw(st.integers(9, 41)))
+    return TabulatedEdgeModel(s, rho, model.value(s[:, None], rho[None, :]))
+
+
+_LEVELS = st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(model=edge_models(), offsets=_LEVELS, n=st.sampled_from([257, 256]))
+def test_grid_kernel_matches_simpson_oracle(model, offsets, n):
+    """EdgeProfile.sigma, forward and reversed, scalar and array levels.
+
+    An even grid has asymmetric Simpson weights, so it also checks that the
+    reversed kernel is mirrored in s."""
+    fwd = EdgeProfile("e", model, n_quad=n)
+    for prof, m in ((fwd, model), (fwd.reversed("e~"), model.reversed())):
+        a = prof.a_e + np.array(offsets)
+        want = simpson_sigma(m, a, n_samples=n)
+        np.testing.assert_allclose(prof.sigma(a), want, rtol=1e-13, atol=1e-13)
+        assert prof.sigma(float(a[0])) == pytest.approx(want[0], rel=1e-13,
+                                                        abs=1e-13)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(models=st.lists(edge_models(), min_size=3, max_size=3), offsets=_LEVELS)
+def test_sigma_all_matches_simpson_oracle(honeycomb, models, offsets):
+    """The all-edge call on mixed quadratic and tabulated edges."""
+    g, _ = honeycomb
+    profs = build_profiles(g, dict(zip(g.orientation, models)))
+    a = profs.a0 + np.array(offsets)
+    want = np.array([simpson_sigma(profs[e].model, a) for e in sorted(g.edges)])
+    np.testing.assert_allclose(profs.sigma_all(a), want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(profs.sigma_all(a[0]), want[:, 0], rtol=1e-13,
+                               atol=1e-13)
 
 
 class TestDiscreteHamiltonian:
@@ -173,9 +227,9 @@ class TestTabulated:
     def test_matches_quadratic(self):
         tab = self._from_quadratic(COS)
         assert critical_value(tab) == pytest.approx(1.0, abs=1e-6)
-        assert sigma(tab, 1.5) == pytest.approx(sigma(COS, 1.5), abs=2e-3)
         p_tab = EdgeProfile("e", tab)
         p_cos = EdgeProfile("e", COS)
+        assert p_tab.sigma(1.5) == pytest.approx(p_cos.sigma(1.5), abs=2e-3)
         assert p_tab.lagrangian(1.0) == pytest.approx(p_cos.lagrangian(1.0),
                                                       abs=5e-3)
 
