@@ -110,11 +110,6 @@ def crystal_potential(g: BaseGraph, tm: ThetaMap,
     return johnson_potential(g, tm, profiles.sigma_all(profiles.a0))
 
 
-def _level_weights(box: BoxGraph, profiles: EdgeProfiles, a_values) -> np.ndarray:
-    """sigma(e, a) per level (rows) and box edge (columns, sorted like the graph's)."""
-    return profiles.sigma_all(np.atleast_1d(a_values)).T
-
-
 class LiftedReach:
     """Cheapest walk weights sum sigma(e, a) from a box's source.
 
@@ -132,8 +127,8 @@ class LiftedReach:
         self.a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
         if potential is None:
             potential = crystal_potential(box.g, box.tm, profiles)
-        self.dist = box.distances(_level_weights(box, profiles, self.a_values),
-                                  potential)
+        # one row per level, columns in the graph's edge_order like box.edges
+        self.dist = box.distances(profiles.sigma_all(self.a_values).T, potential)
 
     def at(self, vertex: str, h):
         """Distance profile over the a-grid for one crystal vertex."""
@@ -161,8 +156,8 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     target = box.index(query.y, h)
 
     def psi(a_values) -> np.ndarray:
-        return box.distances(_level_weights(box, profiles, a_values), potential,
-                             at=target)
+        return box.distances(profiles.sigma_all(np.atleast_1d(a_values)).T,
+                             potential, at=target)
 
     for _ in range(20):
         grid = _a_grid(a0, offset, query.a_grid)

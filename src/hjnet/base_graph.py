@@ -56,17 +56,19 @@ class BaseGraph:
         self.vertices: tuple[str, ...] = tuple(sorted(vertices))
         self.edges: dict[str, OrientedEdge] = dict(edges)
         self.orientation: tuple[str, ...] = tuple(sorted(orientation))
-        self._star: dict[str, tuple[str, ...]] = {}
+        # the order of every per-edge array downstream (weights, theta rows,
+        # sigma rows, box arcs)
+        self.edge_order: tuple[str, ...] = tuple(sorted(self.edges))
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
+        for e in self.edge_order:
             star[self.edges[e].origin].append(e)
         self._star = {v: tuple(es) for v, es in star.items()}
-        # positions in self.vertices of each edge's endpoints, sorted edge order
+        # positions in self.vertices of each edge's endpoints, in edge_order
         vindex = {v: i for i, v in enumerate(self.vertices)}
         self.origin_index = np.array([vindex[self.edges[e].origin]
-                                      for e in sorted(self.edges)], dtype=np.intp)
+                                      for e in self.edge_order], dtype=np.intp)
         self.terminus_index = np.array([vindex[self.edges[e].terminus]
-                                        for e in sorted(self.edges)], dtype=np.intp)
+                                        for e in self.edge_order], dtype=np.intp)
 
     def origin(self, edge_id: str) -> str:
         return self.edges[edge_id].origin
@@ -169,19 +171,15 @@ class ThetaMap:
     ``circuits[e]`` stores, for each basis edge, the fundamental circuit it
     closes through the tree (as a Path); its incidence vector is the basis
     element in the full edge-space coordinates.  ``matrix`` stacks the theta
-    vectors in sorted edge order, shape (|E|, b).
+    vectors in the graph's ``edge_order``, shape (|E|, b).
     """
 
     tree: SpanningTree
     betti: int
     basis_edges: tuple[str, ...]
     theta: dict[str, np.ndarray]
+    matrix: np.ndarray
     circuits: dict[str, Path] = field(default_factory=dict)
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.matrix = np.array([self.theta[e] for e in sorted(self.theta)],
-                               dtype=int).reshape(len(self.theta), self.betti)
 
 
 def _tree_path(g: BaseGraph, t: SpanningTree, start: str, goal: str) -> Path:
@@ -228,7 +226,9 @@ def theta_map(g: BaseGraph, t: SpanningTree) -> ThetaMap:
     for e in basis:
         back = _tree_path(g, t, g.terminus(e), g.origin(e))
         circuits[e] = Path((e,) + back.edges)
-    return ThetaMap(t, b, basis, theta, circuits)
+    matrix = np.array([theta[e] for e in g.edge_order],
+                      dtype=int).reshape(len(g.edge_order), b)
+    return ThetaMap(t, b, basis, theta, matrix, circuits)
 
 
 def incidence_vector(p: Path, g: BaseGraph) -> np.ndarray:

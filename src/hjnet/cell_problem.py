@@ -47,7 +47,7 @@ class CellWeights:
     def build(cls, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, p, a: float):
         p = np.asarray(p, dtype=float)
         w = _edge_weights(tm, profiles, p, a)
-        return cls(p, float(a), dict(zip(sorted(g.edges), w.tolist())))
+        return cls(p, float(a), dict(zip(g.edge_order, w.tolist())))
 
     def of_path(self, path: Path) -> float:
         return sum(self.weights[e] for e in path.edges)
@@ -55,7 +55,7 @@ class CellWeights:
 
 def _edge_weights(tm: ThetaMap, profiles: EdgeProfiles, p: np.ndarray,
                   a: float) -> np.ndarray:
-    """sigma(e, a) - <p, theta(e)> in sorted edge order."""
+    """sigma(e, a) - <p, theta(e)> in the graph's edge_order."""
     return profiles.sigma_all(a) - tm.matrix @ p
 
 

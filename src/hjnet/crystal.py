@@ -147,17 +147,15 @@ class Potential:
     d: np.ndarray
     p: np.ndarray
 
-    def edge_shift(self, g: BaseGraph, tm: ThetaMap, edges) -> np.ndarray:
-        """Phi(tail) - Phi(head) of the lifts of each base edge."""
-        vindex = {v: i for i, v in enumerate(g.vertices)}
-        return np.array([self.d[vindex[g.origin(e)]] - self.d[vindex[g.terminus(e)]]
-                         - float(self.p @ tm.theta[e]) for e in edges])
+    def edge_shift(self, g: BaseGraph, tm: ThetaMap) -> np.ndarray:
+        """Phi(tail) - Phi(head) of the lifts of each base edge, in edge_order."""
+        return self.d[g.origin_index] - self.d[g.terminus_index] - tm.matrix @ self.p
 
 
 def johnson_potential(g: BaseGraph, tm: ThetaMap, w0) -> Potential:
     """Potential that makes every lifted arc weight nonnegative.
 
-    ``w0`` holds one weight per edge of ``sorted(g.edges)``.  The potential
+    ``w0`` holds one weight per edge of ``g.edge_order``.  The potential
     is zero when w0 >= 0 already; otherwise it solves the HiGHS LP
 
         max t  s.t.  w0[e] + d[origin e] - d[terminus e] - <p, theta(e)> >= t
@@ -170,13 +168,12 @@ def johnson_potential(g: BaseGraph, tm: ThetaMap, w0) -> Potential:
     n_v, b = len(g.vertices), tm.betti
     if w0.min(initial=0.0) >= 0.0:
         return Potential(np.zeros(n_v), np.zeros(b))
-    vindex = {v: i for i, v in enumerate(g.vertices)}
     A = np.zeros((w0.size, n_v + b + 1))
-    for row, e in zip(A, sorted(g.edges)):
-        row[vindex[g.origin(e)]] -= 1.0
-        row[vindex[g.terminus(e)]] += 1.0
-        row[n_v:n_v + b] = tm.theta[e]
-        row[-1] = 1.0
+    rows = np.arange(w0.size)
+    A[rows, g.origin_index] -= 1.0
+    A[rows, g.terminus_index] += 1.0  # a loop's row stays 0 there
+    A[:, n_v:n_v + b] = tm.matrix
+    A[:, -1] = 1.0
     cost = np.zeros(n_v + b + 1)
     cost[-1] = -1.0
     bounds = [(0.0, 0.0)] + [(None, None)] * (n_v + b)
@@ -218,16 +215,15 @@ class BoxGraph:
         self.source = source
         self.radius = int(radius)
         self.reverse = reverse
-        self.edges = tuple(sorted(g.edges))
+        self.edges = g.edge_order
         n = 2 * self.radius + 1
         cells = np.arange(n ** tm.betti).reshape((n,) * tm.betti)
         self.shape = (len(g.vertices),) + cells.shape
-        vindex = {v: i for i, v in enumerate(g.vertices)}
         tails, heads, ids = [], [], []
         for k, e in enumerate(self.edges):
-            src_sl, dst_sl = _shift_slices(tm.theta[e], n)
-            tail = np.ravel(cells[src_sl]) + vindex[g.origin(e)] * cells.size
-            head = np.ravel(cells[dst_sl]) + vindex[g.terminus(e)] * cells.size
+            src_sl, dst_sl = _shift_slices(tm.matrix[k], n)
+            tail = np.ravel(cells[src_sl]) + g.origin_index[k] * cells.size
+            head = np.ravel(cells[dst_sl]) + g.terminus_index[k] * cells.size
             if reverse:
                 tail, head = head, tail
             tails.append(tail)
@@ -267,7 +263,7 @@ class BoxGraph:
         ``at`` (an ``index`` of this box).
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        shift = potential.edge_shift(self.g, self.tm, self.edges)
+        shift = potential.edge_shift(self.g, self.tm)
         full = at is None
         node = None if full else np.ravel_multi_index(at, self.shape)
         out = np.empty((weights.shape[0],) + (self.shape if full else ()))

@@ -44,7 +44,9 @@ from .errors import DomainError, LevelBelowMinimum, NonConvexModel
 
 DEFAULT_QUAD_SAMPLES = 257
 _CRIT_GRID = 2049
-_STACK_CELLS = 1 << 18  # (edges x levels x grid) cells per sigma_all pass
+# (edges x levels x grid) cells per sigma_all pass: one 516-level ladder block
+# in a single pass raised the duality benchmark's peak RSS by about 10 MB
+_STACK_CELLS = 1 << 18
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,13 +357,12 @@ class EdgeProfile:
     """Cached numeric kernels for one directed edge."""
 
     def __init__(self, edge_id: str, model, n_quad: int = DEFAULT_QUAD_SAMPLES,
-                 critical: tuple[float, bool] | None = None, grid=None):
-        """``critical`` is (a_e, fiber_min_is_constant) and ``grid`` the
-        model's grid kernel, when already known."""
+                 critical: tuple[float, bool] | None = None):
+        """``critical`` is (a_e, fiber_min_is_constant), when already known."""
         self.edge_id = edge_id
         self.model = model
         self.n_quad = n_quad
-        self.grid = grid if grid is not None else model.on_grid(n_quad)
+        self.grid = model.on_grid(n_quad)
         if critical is None:
             fm = np.asarray(model.fiber_min(np.linspace(0, 1, 513)))
             # a_e must bound the fiber minima at the quadrature nodes, which
@@ -375,11 +376,9 @@ class EdgeProfile:
 
     def reversed(self, edge_id: str) -> EdgeProfile:
         """Profile of the reversed edge: by H_{-e}(s, rho) = H_e(1-s, -rho) its
-        fiber minima and grid kernel are these mirrored in s, so only b_e is
-        recomputed."""
+        fiber minima are these mirrored in s, so a_e carries over."""
         return EdgeProfile(edge_id, self.model.reversed(), self.n_quad,
-                           critical=(self.a_e, self.fiber_min_is_constant),
-                           grid=self.grid.reversed())
+                           critical=(self.a_e, self.fiber_min_is_constant))
 
     def sigma(self, a):
         """sigma(e, a) for scalar or array a (a >= a_e)."""
@@ -465,7 +464,7 @@ class EdgeProfiles:
 
     def __post_init__(self):
         self.a0 = max(p.a_e for p in self.profiles.values())
-        self._ordered = [self.profiles[e] for e in sorted(self.graph.edges)]
+        self._ordered = [self.profiles[e] for e in self.graph.edge_order]
         self._a_e = np.array([p.a_e for p in self._ordered])
         quad = [i for i, p in enumerate(self._ordered)
                 if isinstance(p.grid, QuadraticGrid)]
@@ -478,7 +477,7 @@ class EdgeProfiles:
         return self.profiles[edge_id]
 
     def sigma_all(self, a) -> np.ndarray:
-        """sigma(e, a) of every directed edge, rows in sorted edge order.
+        """sigma(e, a) of every directed edge, rows in ``graph.edge_order``.
 
         Shape (|E|,) + a.shape, for a scalar a or an array of levels a >= a0;
         quadratic edges are evaluated together, in level chunks.

@@ -90,10 +90,9 @@ class MatherSolver:
         self.circuits = enumerate_circuits(g)
         self.circuit_theta = np.array(
             [rotation_vector(c, tm) for c in self.circuits], dtype=float)
-        self._edge_list = sorted(g.edges)
         self._circuit_edge_count = np.array(
-            [[c.edges.count(e) for e in self._edge_list] for c in self.circuits],
-            dtype=float).reshape(len(self.circuits), len(self._edge_list))
+            [[c.edges.count(e) for e in g.edge_order] for c in self.circuits],
+            dtype=float).reshape(len(self.circuits), len(g.edge_order))
         # the sigma ladder: levels, per-edge sigma and circuit sums, append-only
         self._a = np.array([self.a0])
         self._sig = profiles.sigma_all(self._a)
@@ -247,8 +246,8 @@ class MatherSolver:
                      == self._a.size - 1):
             self._grow()
         a = self._a
-        out = np.empty((len(self._edge_list), speeds.size))
-        for j, e in enumerate(self._edge_list):
+        out = np.empty((len(self.g.edge_order), speeds.size))
+        for j, e in enumerate(self.g.edge_order):
             for lo in range(0, speeds.size, _SPEED_CHUNK):
                 q = speeds[lo:lo + _SPEED_CHUNK]
                 vals = q[:, None] * self._sig[j] - a
@@ -265,20 +264,19 @@ class MatherSolver:
         return out
 
     def _flow_lp(self, h: np.ndarray, speeds: np.ndarray):
-        n_e, n_q = len(self._edge_list), speeds.size
+        n_e, n_q = len(self.g.edge_order), speeds.size
         cost = self._lagrangian_grid(speeds).ravel()
-        vindex = {v: i for i, v in enumerate(self.g.vertices)}
         n_v, b = len(self.g.vertices), self.tm.betti
         rows = 1 + n_v + b
         A = np.zeros((rows, n_e * n_q))
         rhs = np.zeros(rows)
         A[0] = 1.0
         rhs[0] = 1.0
-        for j, e in enumerate(self._edge_list):
+        for j in range(n_e):
             sl = slice(j * n_q, (j + 1) * n_q)
-            A[1 + vindex[self.g.origin(e)], sl] -= speeds
-            A[1 + vindex[self.g.terminus(e)], sl] += speeds
-            th = self.tm.theta[e]
+            A[1 + self.g.origin_index[j], sl] -= speeds
+            A[1 + self.g.terminus_index[j], sl] += speeds
+            th = self.tm.matrix[j]
             for k in range(b):
                 if th[k]:
                     A[1 + n_v + k, sl] += th[k] * speeds
@@ -305,7 +303,7 @@ class MatherSolver:
                 continue
             if not res.success:
                 raise ConvergenceFailure(f"flow LP failed: {res.message}")
-            w = res.x.reshape(len(self._edge_list), speeds.size)
+            w = res.x.reshape(len(self.g.edge_order), speeds.size)
             if w[:, -1].max() > 1e-9:
                 q_max *= 2.0
                 continue
@@ -321,9 +319,9 @@ class MatherSolver:
         res2 = self._flow_lp(h, speeds2)
         if not res2.success:
             raise ConvergenceFailure(f"flow LP refinement failed: {res2.message}")
-        w2 = res2.x.reshape(len(self._edge_list), speeds2.size)
-        lam = {e: float(w2[j].sum()) for j, e in enumerate(self._edge_list)}
-        flux = {e: float(w2[j] @ speeds2) for j, e in enumerate(self._edge_list)}
+        w2 = res2.x.reshape(len(self.g.edge_order), speeds2.size)
+        lam = {e: float(w2[j].sum()) for j, e in enumerate(self.g.edge_order)}
+        flux = {e: float(w2[j] @ speeds2) for j, e in enumerate(self.g.edge_order)}
         return float(res2.fun), ClosedFlow(lam, flux)
 
 

@@ -77,7 +77,7 @@ class TestDriftedLoop:
         g, tm, profs = drifted_loop
         pot = crystal_potential(g, tm, profs)
         edges = sorted(g.edges)
-        shift = pot.edge_shift(g, tm, edges)
+        shift = pot.edge_shift(g, tm)
         for a in profs.a0 + np.array([0.0, 1e-6, 0.5, 4.0]):
             w = np.array([profs[e].sigma(a) for e in edges])
             assert (w + shift >= -1e-9 * (1 + np.abs(w).max())).all()

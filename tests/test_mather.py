@@ -192,7 +192,7 @@ def test_lagrangian_grid_is_certified(honeycomb_cos):
     a0 = solver.a0
     speeds = np.array([0.0, 0.3, 1.0, 2.0, 4.0, 8.0, 12.0])
     grid = solver._lagrangian_grid(speeds)
-    for j, e in enumerate(solver._edge_list):
+    for j, e in enumerate(solver.g.edge_order):
         prof = solver.profiles[e]
         for q, cost in zip(speeds, grid[j]):
             slope_at_a0 = q * (prof.sigma(a0 + 1e-7) - prof.sigma(a0)) / 1e-7 - 1
