@@ -23,9 +23,6 @@ from .crystal import (
     CrystalEdge,
     CrystalVertex,
     LiftedPath,
-    graph_distance,
-    lift_path,
-    metric_invariance_check,
     project,
     stable_norm_estimate,
 )
@@ -37,16 +34,11 @@ from .edge_calculus import (
     TrigPoly,
     build_profiles,
     critical_value,
-    discrete_hamiltonian,
-    discrete_lagrangian,
-    edge_action,
     flux_limiter,
     load_hamiltonians,
-    sigma_plus,
 )
 from .cell_problem import (
     CellWeights,
-    convexity_probe,
     effective_hamiltonian,
     enumerate_circuits,
     min_cycle_weight,
@@ -54,17 +46,12 @@ from .cell_problem import (
 from .mather import (
     ClosedFlow,
     MatherSolver,
-    beta,
-    beta_flow_oracle,
-    conjugate_pair_check,
     get_solver,
 )
 from .action import (
     ActionQuery,
     asymptotics_scan,
     min_action,
-    min_action_exact_oracle,
-    network_min_action,
     path_action,
 )
 from .homogenize import (

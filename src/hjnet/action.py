@@ -4,24 +4,21 @@ A parametrized path traverses concatenated edges with nonnegative average
 speeds (time = 1/speed on moving edges) and may pause in place on an edge at
 cost -a_e per unit time.  The minimal total Lagrangian cost among such paths
 linking x to y in total time T with rotation vector h is the discrete
-minimal action.  Two computations are provided:
+minimal action.  ``path_action`` computes it on one fixed support.
+``min_action`` bounds it from below over all supports: for each level
+a >= a0 the cheapest lifted path from (x, 0) to (y, h) under the weights
+sigma(e, a) is found by Dijkstra on the crystal restricted to a rotation box
+(``BoxGraph``), with one Johnson potential from the cell problem at a0
+keeping every reweighted sigma(e, a) >= 0, and the bound
+max_a [Psi_a(x,y,h) - a T] is maximized on an adaptive geometric a-grid plus
+local refinement.  The clamp a >= a0 (instead of the per-path max of
+critical values) costs at most a T-independent additive constant, realized
+by bounded detours through the spanning tree; only T-normalized quantities
+enter the acceptance checks.  Only the h difference of two crystal vertices
+enters, so a query names base vertices and that difference.
 
-* ``min_action``: a dual lower bound.  For each level a >= a0 the cheapest
-  lifted path from (x, 0) to (y, h) under the weights sigma(e, a) is found
-  by Dijkstra on the crystal restricted to a rotation box (``BoxGraph``),
-  with one Johnson potential from the cell problem at a0 keeping every
-  reweighted sigma(e, a) >= 0, and the bound  max_a [Psi_a(x,y,h) - a T]
-  is maximized on an adaptive geometric a-grid plus local refinement.  The
-  clamp a >= a0 (instead of the per-path max of critical values) costs at
-  most a T-independent additive constant, realized by bounded detours
-  through the spanning tree; only T-normalized quantities enter the
-  acceptance checks.
-
-* ``min_action_exact_oracle``: exhaustive enumeration of path supports on
-  tiny instances, each support evaluated with the pause-aware clamp (the
-  largest critical value among edges incident to the visited vertices),
-  which is the exact minimum over parametrizations including equilibrium
-  pauses.
+The exhaustive support enumeration that measures the constant on tiny
+instances is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -33,19 +30,18 @@ from scipy.optimize import minimize_scalar
 
 from .base_graph import BaseGraph, Path, ThetaMap
 from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
-from .edge_calculus import EdgeProfiles
+from .edge_calculus import EdgeProfiles, _concave_max
 from .errors import BudgetExceeded, Unreachable
 from .mather import get_solver
 
-DEFAULT_A_GRID = 64
+_A_GRID = 64  # levels of the dual a-grid of min_action
 
 
 @dataclass(frozen=True)
 class ActionQuery:
-    """Endpoints, horizon and caps for one minimal-action evaluation.
+    """Endpoints, horizon and rotation box of one minimal-action evaluation.
 
-    ``rotation_radius`` bounds the crystal box of ``min_action``;
-    ``edge_cap`` bounds the support length of ``min_action_exact_oracle``.
+    ``rotation_radius`` bounds the crystal box of ``min_action``.
     """
 
     x: str
@@ -53,32 +49,11 @@ class ActionQuery:
     T: float
     h: tuple[int, ...]
     rotation_radius: int | None = None
-    edge_cap: int | None = None
-    a_grid: int = DEFAULT_A_GRID
 
     def radius(self) -> int:
         if self.rotation_radius is not None:
             return self.rotation_radius
         return int(max(abs(k) for k in self.h) if self.h else 0) + 2
-
-    def cap(self, n_vertices: int) -> int:
-        if self.edge_cap is not None:
-            return self.edge_cap
-        return 6 * (int(sum(abs(k) for k in self.h)) + n_vertices)
-
-
-def _concave_max(f, lo: float, hi_hint: float = 1.0):
-    """Max of a concave function on [lo, inf): doubling bracket + local search."""
-    step = max(hi_hint, 1e-6)
-    hi = lo + step
-    while f(lo + step) > f(lo + 0.5 * step):
-        step *= 2.0
-        hi = lo + step
-        if step > 1e14:
-            raise BudgetExceeded("concave bracket expansion failed")
-    res = minimize_scalar(lambda a: -f(a), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return max(float(-res.fun), float(f(lo)))
 
 
 def path_action(profiles: EdgeProfiles, support: Path, T: float) -> float:
@@ -160,14 +135,14 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                              potential, at=target)
 
     for _ in range(20):
-        grid = _a_grid(a0, offset, query.a_grid)
+        grid = _a_grid(a0, offset, _A_GRID)
         vals = psi(grid) - grid * query.T
         if not np.any(np.isfinite(vals)):
             raise Unreachable(
                 f"no lifted path from ({query.x}, 0) to ({query.y}, {query.h}) "
                 f"within radius {radius}")
         i = int(np.argmax(vals))
-        if i < query.a_grid - 1:
+        if i < _A_GRID - 1:
             break
         offset *= 2.0
     else:
@@ -184,80 +159,6 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     return best
 
 
-def network_min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                       z1: CrystalVertex, z2: CrystalVertex, T: float,
-                       **caps) -> float:
-    """Minimal action between crystal vertices: only the h difference enters."""
-    h = tuple(int(b) - int(a) for a, b in zip(z1.h, z2.h))
-    return min_action(g, tm, profiles,
-                      ActionQuery(z1.base, z2.base, T, h, **caps))
-
-
-def _incident_critical(g: BaseGraph, profiles: EdgeProfiles, vertices) -> float:
-    return max(profiles[e].a_e for v in vertices for e in g.star(v))
-
-
-def min_action_exact_oracle(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                            query: ActionQuery, path_budget: int = 500_000) -> float:
-    """Exact minimal action on tiny instances by support enumeration.
-
-    Each support is scored with the pause-aware clamp: surplus time pauses on
-    the best edge incident to any visited vertex (equilibrium fluctuations
-    reach it at zero cost within the support's own vertices).
-    """
-    if len(g.orientation) > 4:
-        raise ValueError("exact oracle is intended for <= 4 positive edges")
-    h = np.asarray(query.h, dtype=int)
-    radius = query.radius()
-    cap = query.cap(len(g.vertices))
-    if cap > 12:
-        raise ValueError("exact oracle is intended for edge caps <= 12")
-
-    memo: dict[tuple, float] = {}  # value depends only on edge counts + clamp
-
-    def support_value(edges: tuple[str, ...], visited: frozenset[str]) -> float:
-        clamp = _incident_critical(g, profiles, visited)
-        key = (clamp, tuple(sorted(edges)))
-        if key in memo:
-            return memo[key]
-        if not edges:
-            val = -clamp * query.T
-        else:
-            def f(a):
-                return (sum(float(profiles[e].sigma(a)) for e in edges)
-                        - a * query.T)
-
-            val = _concave_max(f, clamp,
-                               hi_hint=max(1.0, (len(edges) / query.T) ** 2))
-        memo[key] = val
-        return val
-
-    best = np.inf
-    count = 0
-    stack = [(query.x, (), np.zeros_like(h), frozenset([query.x]))]
-    while stack:
-        v, edges, rot, visited = stack.pop()
-        if v == query.y and np.array_equal(rot, h):
-            best = min(best, support_value(edges, visited))
-        if len(edges) == cap:
-            continue
-        remaining = cap - len(edges)
-        for e in g.star(v):
-            rot2 = rot + tm.theta[e]
-            if np.max(np.abs(rot2), initial=0) > radius:
-                continue
-            if np.max(np.abs(h - rot2), initial=0) > remaining - 1:
-                continue
-            count += 1
-            if count > path_budget:
-                raise BudgetExceeded("support enumeration budget exhausted")
-            stack.append((g.terminus(e), edges + (e,), rot2,
-                          visited | {g.terminus(e)}))
-    if not np.isfinite(best):
-        raise Unreachable("no support reaches the requested endpoint within caps")
-    return float(best)
-
-
 @dataclass
 class ScanRow:
     T: float
@@ -268,13 +169,12 @@ class ScanRow:
 
 
 def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                     x: str, y: str, h_direction, T_list,
-                     **caps) -> list[ScanRow]:
+                     x: str, y: str, h_direction, T_list) -> list[ScanRow]:
     """Deviations |Phi(x,y,T, floor(T dir))/T - beta(h/T)| along a T schedule."""
     solver = get_solver(g, tm, profiles)
     direction = np.asarray(h_direction, dtype=float)
     hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
-    phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h, **caps)) / T
+    phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h)) / T
             for T, h in zip(T_list, hs)]
     betas = solver.beta_batch([np.asarray(h, dtype=float) / T
                                for T, h in zip(T_list, hs)]).tolist()

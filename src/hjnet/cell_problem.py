@@ -33,6 +33,7 @@ from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded
 
 DEFAULT_BISECTION_TOL = 1e-8
+_CIRCUIT_BUDGET = 200_000  # enumerate_circuits raises beyond this many
 
 
 @dataclass
@@ -82,7 +83,7 @@ def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
 
 
 def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                          p, tol: float = DEFAULT_BISECTION_TOL) -> float:
+                          p) -> float:
     """Critical level of the p-twisted cell problem (Mather's alpha at p)."""
     p = np.asarray(p, dtype=float)
     a0 = profiles.a0
@@ -97,21 +98,10 @@ def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         offset *= 2.0
         if offset > 1e12:
             raise BudgetExceeded("cycle weights never became nonnegative")
-    return float(brentq(f, a0, a0 + offset, xtol=tol))
+    return float(brentq(f, a0, a0 + offset, xtol=DEFAULT_BISECTION_TOL))
 
 
-def convexity_probe(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                    p1, p2, tol: float = 1e-7) -> bool:
-    """Midpoint convexity check of the effective Hamiltonian."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    mid = effective_hamiltonian(g, tm, profiles, (p1 + p2) / 2)
-    v1 = effective_hamiltonian(g, tm, profiles, p1)
-    v2 = effective_hamiltonian(g, tm, profiles, p2)
-    return mid <= (v1 + v2) / 2 + tol
-
-
-def enumerate_circuits(g: BaseGraph, budget: int = 200_000) -> list[Path]:
+def enumerate_circuits(g: BaseGraph) -> list[Path]:
     """All directed simple circuits, one representative per cyclic class.
 
     A circuit repeats no vertex except its endpoints.  The representative
@@ -128,7 +118,7 @@ def enumerate_circuits(g: BaseGraph, budget: int = 200_000) -> list[Path]:
                 w = g.terminus(e)
                 if w == v0:
                     out.append(Path(path_edges + (e,)))
-                    if len(out) > budget:
+                    if len(out) > _CIRCUIT_BUDGET:
                         raise BudgetExceeded("too many circuits to enumerate")
                 elif w not in visited and w > v0:
                     stack.append((w, path_edges + (e,), visited | {w}))

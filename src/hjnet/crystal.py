@@ -291,33 +291,9 @@ class BoxGraph:
         return -phi if self.reverse else phi
 
 
-def lift_path(g: BaseGraph, tm: ThetaMap, p0: Path, h,
-              origin: str | None = None) -> LiftedPath:
-    return Crystal(g, tm).lift_path(p0, h, origin=origin)
-
-
 def project(lp: LiftedPath) -> Path:
     """Forget the Z^b components."""
     return Path(tuple(ce.base_edge for ce in lp.edges))
-
-
-def graph_distance(g: BaseGraph, tm: ThetaMap, a: CrystalVertex, b: CrystalVertex,
-                   node_cap: int = DEFAULT_NODE_CAP) -> int:
-    return Crystal(g, tm).graph_distance(a, b, node_cap=node_cap)
-
-
-def metric_invariance_check(g: BaseGraph, tm: ThetaMap, x0: str, h, h_bar,
-                            node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """Distances between fibers over x0 depend only on the h difference."""
-    c = Crystal(g, tm)
-    h = np.asarray(h, dtype=int)
-    h_bar = np.asarray(h_bar, dtype=int)
-    d1 = c.graph_distance(CrystalVertex(x0, _t(h)), CrystalVertex(x0, _t(h_bar)),
-                          node_cap=node_cap)
-    zero = _t(np.zeros(tm.betti, dtype=int))
-    d2 = c.graph_distance(CrystalVertex(x0, zero), CrystalVertex(x0, _t(h_bar - h)),
-                          node_cap=node_cap)
-    return d1 == d2
 
 
 @dataclass
@@ -336,21 +312,21 @@ class StableNormEstimate:
     euclidean_lower: float
 
 
-def stable_norm_estimate(g: BaseGraph, tm: ThetaMap, h, n_max: int,
-                         base_vertex: str | None = None,
-                         node_cap: int = DEFAULT_NODE_CAP) -> StableNormEstimate:
-    """Estimate lim_n d(0, n h)/n from below-n_max rescaled distances."""
+def stable_norm_estimate(g: BaseGraph, tm: ThetaMap, h,
+                         n_max: int) -> StableNormEstimate:
+    """Estimate lim_n d(0, n h)/n from below-n_max rescaled distances, over
+    the first base vertex."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     h = np.asarray(h, dtype=int)
-    x0 = base_vertex if base_vertex is not None else g.vertices[0]
+    x0 = g.vertices[0]
     c = Crystal(g, tm)
     zero = CrystalVertex(x0, _t(np.zeros(tm.betti, dtype=int)))
     if not h.any():
         return StableNormEstimate(_t(h), n_max, 0.0, [0.0], 0.0)
 
     def rescaled(n):
-        return c.graph_distance(zero, CrystalVertex(x0, _t(n * h)), node_cap=node_cap) / n
+        return c.graph_distance(zero, CrystalVertex(x0, _t(n * h))) / n
 
     seq = []
     k = 0

@@ -40,10 +40,11 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq, minimize_scalar
 
 from .base_graph import BaseGraph
-from .errors import DomainError, LevelBelowMinimum, NonConvexModel
+from .errors import BudgetExceeded, DomainError, LevelBelowMinimum, NonConvexModel
 
 DEFAULT_QUAD_SAMPLES = 257
 _CRIT_GRID = 2049
+_CONCAVE_XATOL = 1e-10  # level tolerance of the bounded Brent search
 # (edges x levels x grid) cells per sigma_all pass: one 516-level ladder block
 # in a single pass raised the duality benchmark's peak RSS by about 10 MB
 _STACK_CELLS = 1 << 18
@@ -206,23 +207,15 @@ class TabulatedEdgeModel:
         out = np.where(at_end, extrap, out)
         return out if right else -out
 
+    def _branch(self, s, a, right: bool):
+        res = self._crossing(self._columns(s), float(a), right)
+        return res if np.ndim(s) else res[0]
+
     def sigma_plus(self, s, a):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        a_arr = np.asarray(a, dtype=float)
-        if a_arr.ndim == 0:
-            res = self._crossing(self._columns(s_arr), float(a_arr), right=True)
-            return res if np.ndim(s) else res[0]
-        return np.stack([self._crossing(self._columns(s_arr), float(av), right=True)
-                         for av in a_arr.ravel()]).reshape(a_arr.shape + s_arr.shape)
+        return self._branch(s, a, right=True)
 
     def sigma_minus(self, s, a):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        a_arr = np.asarray(a, dtype=float)
-        if a_arr.ndim == 0:
-            res = self._crossing(self._columns(s_arr), float(a_arr), right=False)
-            return res if np.ndim(s) else res[0]
-        return np.stack([self._crossing(self._columns(s_arr), float(av), right=False)
-                         for av in a_arr.ravel()]).reshape(a_arr.shape + s_arr.shape)
+        return self._branch(s, a, right=False)
 
     def on_grid(self, n: int) -> TabulatedGrid:
         """Grid kernel for Simpson's rule on n samples of [0, 1]."""
@@ -334,7 +327,24 @@ class TabulatedGrid:
 
 
 def critical_value(model) -> float:
-    """max over s in [0,1] of the fiberwise minimum of H."""
+    """max over s in [0,1] of the fiberwise minimum of H.
+
+    Exact for tabulated models: on each s-interval fiber_min is the least of
+    one line in s per rho knot, so its maximum lies at an interval end or
+    where two lines cross.  A reversed model has its base model's value (its
+    fiber minima are mirrored in s).  Quadratic models search a grid, then
+    polish the best point with a bounded Brent search.
+    """
+    if isinstance(model, ReversedEdgeModel):
+        return critical_value(model.base)
+    if isinstance(model, TabulatedEdgeModel):
+        v0, dv = model.values[:-1], np.diff(model.values, axis=0)
+        j, k = np.triu_indices(model.rho_grid.size, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (v0[:, k] - v0[:, j]) / (dv[:, j] - dv[:, k])
+        i, c = np.nonzero((w > 0) & (w < 1))
+        cross = model.s_grid[i] + w[i, c] * np.diff(model.s_grid)[i]
+        return float(model.fiber_min(np.concatenate([model.s_grid, cross])).max())
     s = np.linspace(0.0, 1.0, _CRIT_GRID)
     vals = np.asarray(model.fiber_min(s))
     i = int(np.argmax(vals))
@@ -348,9 +358,18 @@ def critical_value(model) -> float:
     return best
 
 
-def sigma_plus(model, a: float, s: float) -> float:
-    """Largest momentum on the level set {H(s, .) = a}."""
-    return float(np.asarray(model.sigma_plus(np.array([s]), a))[0])
+def _concave_max(f, lo: float, hi_hint: float = 1.0) -> float:
+    """Max of a concave function on [lo, inf): doubling bracket + local search."""
+    step = max(hi_hint, 1e-6)
+    hi = lo + step
+    while f(lo + step) > f(lo + 0.5 * step):
+        step *= 2.0
+        hi = lo + step
+        if step > 1e14:
+            raise BudgetExceeded("concave bracket expansion failed")
+    res = minimize_scalar(lambda a: -f(a), bounds=(lo, hi), method="bounded",
+                          options={"xatol": _CONCAVE_XATOL})
+    return max(float(-res.fun), float(f(lo)))
 
 
 class EdgeProfile:
@@ -404,9 +423,6 @@ class EdgeProfile:
                 raise DomainError(f"sigma({self.edge_id}) never reaches {rho}")
         return float(brentq(lambda a: self.sigma(a) - rho, self.a_e, hi, xtol=1e-12))
 
-    def _lag_objective(self, lam: float, a):
-        return lam * self.sigma(a) - np.asarray(a, dtype=float)
-
     def lagrangian(self, lam: float) -> float:
         """Fenchel conjugate of the discrete Hamiltonian at speed lam >= 0.
 
@@ -418,37 +434,14 @@ class EdgeProfile:
             raise DomainError("speeds are nonnegative")
         if lam == 0:
             return -self.a_e
-        # expand until the concave objective is decreasing at the right end
-        step = max(1.0, lam**2)
-        hi = self.a_e + step
-        while (self._lag_objective(lam, hi)
-               > self._lag_objective(lam, self.a_e + 0.5 * step)):
-            step *= 2.0
-            hi = self.a_e + step
-            if step > 1e14:
-                raise DomainError("Fenchel bracket expansion failed")
-        res = minimize_scalar(lambda a: -self._lag_objective(lam, a),
-                              bounds=(self.a_e, hi), method="bounded",
-                              options={"xatol": 1e-9})
-        return max(float(-res.fun), float(self._lag_objective(lam, self.a_e)))
+        return _concave_max(lambda a: lam * self.sigma(a) - a, self.a_e,
+                            max(1.0, lam**2))
 
     def action(self, T: float) -> float:
         """Minimal Lagrangian action to traverse the edge in time T."""
         if T <= 0:
             raise DomainError("traversal time must be positive")
         return T * self.lagrangian(1.0 / T)
-
-
-def discrete_hamiltonian(profile: EdgeProfile, rho: float) -> float:
-    return profile.hamiltonian(rho)
-
-
-def discrete_lagrangian(profile: EdgeProfile, lam: float) -> float:
-    return profile.lagrangian(lam)
-
-
-def edge_action(profile: EdgeProfile, T: float) -> float:
-    return profile.action(T)
 
 
 @dataclass

@@ -31,28 +31,27 @@ from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, RadiusExhausted
-from .action import LiftedReach, crystal_potential
+from .action import LiftedReach, _a_grid, crystal_potential
 from .mather import MatherSolver, get_solver
 
 logger = logging.getLogger(__name__)
+
+_DUAL_LEVELS = 48  # levels of each dual a-grid of epsilon_solution
+_REACH_DIRS = 16  # random momentum directions of _reach_scales, plus the axes
+_HOPF_TOL = 1e-4  # limit_solution refines while grid half-width times t exceeds it
+_HOPF_PTS = 9  # grid points per axis of each limit_solution level
 
 
 class InitialDatum:
     """Uniformly continuous datum on R^b with a known Lipschitz bound."""
 
-    kind = "generic"
-
     def value(self, h):
         raise NotImplementedError
-
-    def __call__(self, h):
-        return self.value(h)
 
 
 @dataclass
 class LinearDatum(InitialDatum):
     p: tuple[float, ...]
-    kind = "linear"
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -68,7 +67,6 @@ class ConeDatum(InitialDatum):
     """c times the l1 norm."""
 
     c: float
-    kind = "cone"
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -86,7 +84,6 @@ class TabulatedDatum(InitialDatum):
     anchors: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     lipschitz: float
-    kind = "tabulated"
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -117,7 +114,7 @@ def _datum_lipschitz(datum, b: int) -> float:
     return float(datum.lipschitz)
 
 
-def _reach_scales(solver: MatherSolver, L: float, n_dirs: int = 16):
+def _reach_scales(solver: MatherSolver, L: float):
     """Conjugate speed bound and level cap for momenta up to |p| <= L + 1/2.
 
     Minimizing curves move with the gradient of the effective Hamiltonian at
@@ -129,7 +126,7 @@ def _reach_scales(solver: MatherSolver, L: float, n_dirs: int = 16):
     if b == 0:
         return 1.0, solver.a0 + 1.0
     rng = np.random.default_rng(7)
-    dirs = rng.normal(size=(n_dirs, b))
+    dirs = rng.normal(size=(_REACH_DIRS, b))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     eye = np.eye(b)
     dirs = np.concatenate([dirs, eye, -eye])
@@ -156,8 +153,7 @@ def _box_lattice(center, radius: int, b: int):
 
 def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      datum: InitialDatum, z: CrystalVertex, t: float,
-                     eps: float, R: float | None = None,
-                     a_grid: int = 48) -> float:
+                     eps: float, R: float | None = None) -> float:
     """Value of the rescaled solution at crystal vertex z and time t."""
     if t <= 0 or eps <= 0:
         raise ValueError("t and eps must be positive")
@@ -170,7 +166,7 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         R = t * q_reach + 1.0
     for attempt in range(2):
         value, touches = _epsilon_solution_once(
-            g, tm, profiles, potential, datum, z, t, eps, R, a_cap, a_grid)
+            g, tm, profiles, potential, datum, z, t, eps, R, a_cap)
         if not touches:
             return value
         if radius_given and attempt == 0:
@@ -181,7 +177,7 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
 
 
 def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
-                           a_cap, a_grid):
+                           a_cap):
     T = t / eps
     b = tm.betti
     hops_allowed = R / eps
@@ -195,22 +191,23 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
     g_vals = datum.value(eps * lattice.astype(float)) if b else \
         np.asarray(datum.value(np.zeros(0)))
 
-    for _ in range(12):
-        a_vals = np.concatenate([[profiles.a0],
-                                 profiles.a0 + np.geomspace(1e-6, offset,
-                                                            a_grid - 1)])
-        # phi[a, v, box...] -> dual value per candidate, then the datum
+    def candidates(a_vals):
+        """Datum plus eps times the best dual value over a_vals, per starting
+        vertex (inf outside the ball), and the index of that best level."""
         phi = LiftedReach(box, profiles, a_vals, potential).dist
         phi -= (a_vals * T).reshape((-1,) + (1,) * (b + 1))
-        best_over_a = phi.max(axis=0)
-        argmax_a = phi.argmax(axis=0)
+        best, arg = phi.max(axis=0), phi.argmax(axis=0)
         del phi
-        u_cand = g_vals[None, ...] + eps * best_over_a
-        u_cand = np.where(hops <= hops_allowed, u_cand, np.inf)
+        u = g_vals[None, ...] + eps * best
+        return np.where(hops <= hops_allowed, u, np.inf), arg
+
+    for _ in range(12):
+        a_vals = _a_grid(profiles.a0, offset, _DUAL_LEVELS)
+        u_cand, argmax_a = candidates(a_vals)
         flat = int(np.argmin(u_cand))
         if not np.isfinite(u_cand.ravel()[flat]):
             raise RadiusExhausted("no admissible starting vertex in the ball")
-        if argmax_a.ravel()[flat] < a_grid - 1:
+        if argmax_a.ravel()[flat] < _DUAL_LEVELS - 1:
             break
         offset *= 2.0
     else:
@@ -228,13 +225,8 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
         hi = a_current[min(i + 1, a_current.size - 1)]
         if hi <= lo:
             break
-        a_ref = np.linspace(lo, hi, 48)
-        phi2 = LiftedReach(box, profiles, a_ref, potential).dist
-        phi2 -= (a_ref * T).reshape((-1,) + (1,) * (b + 1))
-        arg2 = phi2.argmax(axis=0)
-        u2 = g_vals[None, ...] + eps * phi2.max(axis=0)
-        del phi2
-        u2 = np.where(hops <= hops_allowed, u2, np.inf)
+        a_ref = np.linspace(lo, hi, _DUAL_LEVELS)
+        u2, arg2 = candidates(a_ref)
         refined = u2 > u_cand
         u_cand = np.maximum(u_cand, u2)
         flat = int(np.argmin(u_cand))
@@ -249,8 +241,7 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
 
 
 def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                   datum: InitialDatum, h, t: float, tol: float = 1e-4,
-                   pts: int = 9) -> float:
+                   datum: InitialDatum, h, t: float) -> float:
     """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by grid refinement."""
     if t <= 0:
         raise ValueError("t must be positive")
@@ -267,8 +258,8 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         center = np.zeros(b)
         best_q, best_val = center, np.inf
         hw_level = hw
-        while hw_level * t > tol:
-            axes = [np.linspace(center[i] - hw_level, center[i] + hw_level, pts)
+        while hw_level * t > _HOPF_TOL:
+            axes = [np.linspace(center[i] - hw_level, center[i] + hw_level, _HOPF_PTS)
                     for i in range(b)]
             qs = np.stack(np.meshgrid(*axes, indexing="ij"),
                           axis=-1).reshape(-1, b)
@@ -296,11 +287,12 @@ class ExperimentReport:
 
 
 def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                           datum: InitialDatum, grid: ExperimentGrid,
-                           base_vertex: str | None = None) -> ExperimentReport:
-    """Compare rescaled and limit solutions over the experiment grid."""
+                           datum: InitialDatum,
+                           grid: ExperimentGrid) -> ExperimentReport:
+    """Compare rescaled and limit solutions over the experiment grid, at
+    crystal vertices over the first base vertex."""
     report = ExperimentReport()
-    x0 = base_vertex if base_vertex is not None else g.vertices[0]
+    x0 = g.vertices[0]
     limits = {}
     for (h, t) in grid.samples:
         limits[(h, t)] = limit_solution(g, tm, profiles, datum, h, t)

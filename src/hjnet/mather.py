@@ -10,7 +10,8 @@ clipped from below at a0 (each S_xi is strictly increasing, so the root is
 found by inverse interpolation, then polished by exact root finding).  This
 agrees with the sign-bisection route of
 ``cell_problem.effective_hamiltonian``; the test suite pins the two routes
-together.
+together.  Every computation here is a method of the one ``MatherSolver``
+per network that ``get_solver(g, tm, profiles)`` returns.
 
 alpha, beta and the flow LP below read sigma from one append-only ladder
 per solver: levels a0 and a0 + 4e-7 rho^j (516 per doubling of a - a0), with
@@ -22,7 +23,7 @@ of the concave objective <p, h> - alpha(p) with automatic box expansion.
 ``beta_batch`` refines one 9^b grid per h, each level in one ``alpha_batch``
 call over all grids (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat
 at b = 3); each row is computed as if alone, and ``beta`` is a one-row batch.
-An independent oracle realizes beta directly as the minimal action of closed
+``flow_oracle`` realizes beta independently as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
 constraints, solved by HiGHS and refined around the active speeds.  Its cost
@@ -50,6 +51,8 @@ _LADDER_RATIO = 1e7 ** (1 / 11999)
 _LADDER_BLOCK = 516
 _SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
+_REFINE_PTS = 9  # grid points per axis of each conjugation refinement level
+_N_SPEEDS = 201  # speeds of the flow LP grid, 0 included
 
 
 @dataclass
@@ -166,23 +169,22 @@ class MatherSolver:
 
     # ----- beta by conjugation -----
 
-    def _refine_max(self, H: np.ndarray, halfwidth: float, levels: int,
-                    pts: int = 9):
+    def _refine_max(self, H: np.ndarray, halfwidth: float, levels: int):
         """Adaptive grid maximization of <p, h> - alpha(p) for each row h of H.
 
-        Each row refines its own pts^b grid around its own best point; one
+        Each row refines its own 9^b grid around its own best point; one
         ``alpha_batch`` call per level evaluates the stacked grids of all
         rows.  Returns (p*, value) per row.
         """
         m, b = H.shape
         rows = np.arange(m)
-        grid = np.indices((pts,) * b).reshape(b, -1).T  # C-order multi-indices
+        grid = np.indices((_REFINE_PTS,) * b).reshape(b, -1).T  # C-order multi-indices
         center = np.zeros((m, b))
         best_p, best_val = center.copy(), np.full(m, -np.inf)
         hw = halfwidth
         for _ in range(levels):
-            axes = np.linspace(center - hw, center + hw, pts, axis=-1)  # (m, b, pts)
-            # (m, pts^b, b), C-contiguous so each row's BLAS call is the same
+            axes = np.linspace(center - hw, center + hw, _REFINE_PTS, axis=-1)  # (m, b, 9)
+            # (m, 9^b, b), C-contiguous so each row's BLAS call is the same
             P = np.ascontiguousarray(axes[:, np.arange(b), grid])
             vals = (np.matmul(P, H[:, :, None])[..., 0]
                     - self.alpha_batch(P.reshape(-1, b)).reshape(m, -1))
@@ -284,8 +286,7 @@ class MatherSolver:
         res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
         return res
 
-    def flow_oracle(self, h, max_speed: float | None = None,
-                    n_speeds: int = 201) -> tuple[float, ClosedFlow]:
+    def flow_oracle(self, h) -> tuple[float, ClosedFlow]:
         """Minimal action over closed flows with rotation vector h.
 
         Solves the atomic-measure relaxation on a speed grid (LP), expands
@@ -293,10 +294,10 @@ class MatherSolver:
         speeds the optimizer uses.
         """
         h = np.asarray(h, dtype=float)
-        q_max = max_speed if max_speed is not None else 2.0 * (np.abs(h).sum() + 1.0)
+        q_max = 2.0 * (np.abs(h).sum() + 1.0)
         for _ in range(12):
-            speeds = np.concatenate([[0.0], np.linspace(q_max / (n_speeds - 1),
-                                                        q_max, n_speeds - 1)])
+            speeds = np.concatenate([[0.0], np.linspace(q_max / (_N_SPEEDS - 1),
+                                                        q_max, _N_SPEEDS - 1)])
             res = self._flow_lp(h, speeds)
             if res.status == 2:  # infeasible: grid cannot carry the rotation
                 q_max *= 2.0
@@ -334,27 +335,3 @@ def get_solver(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles) -> MatherSolv
     if key not in _solver_memo:
         _solver_memo[key] = (MatherSolver(g, tm, profiles), g, tm, profiles)
     return _solver_memo[key][0]
-
-
-def beta(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, h,
-         search_box: float = DEFAULT_SEARCH_BOX) -> float:
-    """Mather's beta function: minimal average action at rotation vector h."""
-    return get_solver(g, tm, profiles).beta(h, search_box=search_box)
-
-
-def beta_flow_oracle(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, h) -> float:
-    """Independent beta computation through the closed-flow relaxation."""
-    if len(g.orientation) > 8:
-        raise ValueError("flow oracle is intended for graphs with <= 8 positive edges")
-    value, _ = get_solver(g, tm, profiles).flow_oracle(h)
-    return value
-
-
-def conjugate_pair_check(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
-                         p, h, tol: float = 1e-5) -> bool:
-    """Whether <p,h> = alpha(p) + beta(h) within tol."""
-    solver = get_solver(g, tm, profiles)
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    gap = float(p @ h) - solver.alpha(p) - solver.beta(h)
-    return abs(gap) <= tol

@@ -1,7 +1,13 @@
-"""Independent numerical oracles used by the test suite only."""
+"""Independent numerical oracles and cross-checks used by the test suite only."""
 
 import numpy as np
 from scipy.integrate import simpson
+
+from hjnet.cell_problem import effective_hamiltonian
+from hjnet.crystal import Crystal, CrystalVertex
+from hjnet.edge_calculus import _concave_max
+from hjnet.errors import BudgetExceeded, Unreachable
+from hjnet.mather import get_solver
 
 
 def simpson_sigma(model, a, n_samples=257):
@@ -184,3 +190,107 @@ def sweep_weights(g, tm, weights, source_vertex, radius, reverse=False):
         if not improved:
             return dist
     raise RuntimeError("sweeps did not settle: negative closed walk")
+
+
+def _incident_critical(g, profiles, vertices):
+    return max(profiles[e].a_e for v in vertices for e in g.star(v))
+
+
+def min_action_exact_oracle(g, tm, profiles, query, edge_cap,
+                            path_budget=500_000):
+    """Exact minimal action on tiny instances by support enumeration.
+
+    Supports are walks of at most ``edge_cap`` edges inside the rotation box
+    of ``query``.  Each support is scored with the pause-aware clamp: surplus
+    time pauses on the best edge incident to any visited vertex (equilibrium
+    fluctuations reach it at zero cost within the support's own vertices).
+    The reference for the dual bound of ``action.min_action``.
+    """
+    if len(g.orientation) > 4:
+        raise ValueError("exact oracle is intended for <= 4 positive edges")
+    if edge_cap > 12:
+        raise ValueError("exact oracle is intended for edge caps <= 12")
+    h = np.asarray(query.h, dtype=int)
+    radius = query.radius()
+
+    memo = {}  # value depends only on edge counts + clamp
+
+    def support_value(edges, visited):
+        clamp = _incident_critical(g, profiles, visited)
+        key = (clamp, tuple(sorted(edges)))
+        if key in memo:
+            return memo[key]
+        if not edges:
+            val = -clamp * query.T
+        else:
+            def f(a):
+                return (sum(float(profiles[e].sigma(a)) for e in edges)
+                        - a * query.T)
+
+            val = _concave_max(f, clamp,
+                               hi_hint=max(1.0, (len(edges) / query.T) ** 2))
+        memo[key] = val
+        return val
+
+    best = np.inf
+    count = 0
+    stack = [(query.x, (), np.zeros_like(h), frozenset([query.x]))]
+    while stack:
+        v, edges, rot, visited = stack.pop()
+        if v == query.y and np.array_equal(rot, h):
+            best = min(best, support_value(edges, visited))
+        if len(edges) == edge_cap:
+            continue
+        remaining = edge_cap - len(edges)
+        for e in g.star(v):
+            rot2 = rot + tm.theta[e]
+            if np.max(np.abs(rot2), initial=0) > radius:
+                continue
+            if np.max(np.abs(h - rot2), initial=0) > remaining - 1:
+                continue
+            count += 1
+            if count > path_budget:
+                raise BudgetExceeded("support enumeration budget exhausted")
+            stack.append((g.terminus(e), edges + (e,), rot2,
+                          visited | {g.terminus(e)}))
+    if not np.isfinite(best):
+        raise Unreachable("no support reaches the requested endpoint within caps")
+    return float(best)
+
+
+def beta_flow_oracle(g, tm, profiles, h):
+    """beta through the closed-flow LP of ``MatherSolver.flow_oracle``."""
+    if len(g.orientation) > 8:
+        raise ValueError("flow oracle is intended for graphs with <= 8 positive edges")
+    value, _ = get_solver(g, tm, profiles).flow_oracle(h)
+    return value
+
+
+def conjugate_pair_check(g, tm, profiles, p, h, tol=1e-5):
+    """Whether <p,h> = alpha(p) + beta(h) within tol."""
+    solver = get_solver(g, tm, profiles)
+    p = np.asarray(p, dtype=float)
+    h = np.asarray(h, dtype=float)
+    gap = float(p @ h) - solver.alpha(p) - solver.beta(h)
+    return abs(gap) <= tol
+
+
+def convexity_probe(g, tm, profiles, p1, p2, tol=1e-7):
+    """Midpoint convexity check of the effective Hamiltonian."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    mid = effective_hamiltonian(g, tm, profiles, (p1 + p2) / 2)
+    v1 = effective_hamiltonian(g, tm, profiles, p1)
+    v2 = effective_hamiltonian(g, tm, profiles, p2)
+    return mid <= (v1 + v2) / 2 + tol
+
+
+def metric_invariance_check(g, tm, x0, h, h_bar):
+    """Distances between fibers over x0 depend only on the h difference."""
+    c = Crystal(g, tm)
+    h = tuple(int(k) for k in h)
+    h_bar = tuple(int(k) for k in h_bar)
+    d1 = c.graph_distance(CrystalVertex(x0, h), CrystalVertex(x0, h_bar))
+    d2 = c.graph_distance(CrystalVertex(x0, (0,) * tm.betti),
+                          CrystalVertex(x0, tuple(b - a for a, b in zip(h, h_bar))))
+    return d1 == d2

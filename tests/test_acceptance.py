@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 
 from hjnet import Path, betti, build_graph, spanning_tree, theta_map
-from hjnet.action import (ActionQuery, asymptotics_scan, min_action,
-                          min_action_exact_oracle)
-from hjnet.cell_problem import convexity_probe, effective_hamiltonian
-from hjnet.crystal import (Crystal, CrystalEdge, CrystalVertex, graph_distance,
-                           metric_invariance_check, stable_norm_estimate)
+from hjnet.action import ActionQuery, asymptotics_scan, min_action
+from hjnet.cell_problem import effective_hamiltonian
+from hjnet.crystal import (Crystal, CrystalEdge, CrystalVertex,
+                           stable_norm_estimate)
 from hjnet.edge_calculus import (EdgeProfile, QuadraticEdgeModel, TrigPoly,
-                                 build_profiles, edge_action, flux_limiter)
+                                 build_profiles, flux_limiter)
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                               convergence_experiment)
 from hjnet.mather import get_solver
 
-from oracles import dp_edge_action_refined
+from oracles import (convexity_probe, dp_edge_action_refined,
+                     metric_invariance_check, min_action_exact_oracle)
 
 FREE = QuadraticEdgeModel()
 COS1 = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))
@@ -76,7 +76,7 @@ def test_criterion_2_edge_calculus_closed_forms(bouquet):
 def test_criterion_3_single_edge_action_oracle():
     prof = EdgeProfile("e", COS1)
     for T in (0.5, 1.0, 2.0):
-        want = edge_action(prof, T)
+        want = prof.action(T)
         got = dp_edge_action_refined(COS1, T)
         assert got == pytest.approx(want, rel=0.02)
     _report(3, "grid-DP action matches T*L(e,1/T) within 2% for T in {0.5,1,2}")
@@ -197,7 +197,7 @@ def test_criterion_8_crystal_metrics(bouquet, honeycomb):
     assert checks == 100
     g, tm = bouquet
     z0 = CrystalVertex("v", (0, 0))
-    assert graph_distance(g, tm, z0, CrystalVertex("v", (2, 1))) == 3
+    assert Crystal(g, tm).graph_distance(z0, CrystalVertex("v", (2, 1))) == 3
     est = stable_norm_estimate(g, tm, (1, 1), 8)
     assert abs(est.estimate - 2.0) <= 1e-9
     _report(8, "involution/terminus/no-self-loop/invariance on 100 instances; "
@@ -209,9 +209,9 @@ def test_criterion_9_dual_bound_audit(bouquet_free):
     g, tm, profs = bouquet_free
     cs = []
     for T in (2.0, 4.0, 8.0, 16.0):
-        q = ActionQuery("v", "v", T, (2, 1), edge_cap=9)
+        q = ActionQuery("v", "v", T, (2, 1))
         dual = min_action(g, tm, profs, q)
-        exact = min_action_exact_oracle(g, tm, profs, q)
+        exact = min_action_exact_oracle(g, tm, profs, q, edge_cap=9)
         assert dual <= exact + 1e-9
         cs.append(exact - dual)
     assert max(cs) - min(cs) <= 1e-3
@@ -225,9 +225,9 @@ def test_criterion_9_dual_bound_audit(bouquet_free):
                                 "eyz": COS1})
     cs2 = []
     for T in (2.0, 4.0, 8.0, 16.0):
-        q = ActionQuery("x", "x", T, (), edge_cap=8)
+        q = ActionQuery("x", "x", T, ())
         dual = min_action(gp, tmp, profp, q)
-        exact = min_action_exact_oracle(gp, tmp, profp, q)
+        exact = min_action_exact_oracle(gp, tmp, profp, q, edge_cap=8)
         assert dual <= exact + 1e-9
         cs2.append(exact - dual)
     assert max(cs2) - min(cs2) <= 0.1 * max(cs2)

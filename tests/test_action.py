@@ -3,13 +3,12 @@ import pytest
 
 from hjnet import Path, build_graph, spanning_tree, theta_map
 from hjnet.action import (ActionQuery, LiftedReach, asymptotics_scan,
-                          min_action, min_action_exact_oracle,
-                          network_min_action, path_action)
+                          min_action, path_action)
 from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import Unreachable
 
-from oracles import allocation_grid_action
+from oracles import allocation_grid_action, min_action_exact_oracle
 
 
 @pytest.fixture(scope="module")
@@ -117,23 +116,23 @@ class TestExactOracle:
                          "edges": [{"id": "e", "from": "a", "to": "b"}]})
         tm = theta_map(g, spanning_tree(g))
         profs = build_profiles(g, {"e": QuadraticEdgeModel()})
-        q = ActionQuery("a", "b", 2.0, (), edge_cap=5)
-        assert min_action_exact_oracle(g, tm, profs, q) == pytest.approx(
+        q = ActionQuery("a", "b", 2.0, ())
+        assert min_action_exact_oracle(g, tm, profs, q, edge_cap=5) == pytest.approx(
             0.25, abs=1e-9)
 
     def test_pause_optimal(self, bouquet_free):
         g, tm, profs = bouquet_free
-        q = ActionQuery("v", "v", 3.0, (0, 0), edge_cap=4)
-        assert min_action_exact_oracle(g, tm, profs, q) == pytest.approx(
+        q = ActionQuery("v", "v", 3.0, (0, 0))
+        assert min_action_exact_oracle(g, tm, profs, q, edge_cap=4) == pytest.approx(
             0.0, abs=1e-10)
 
     def test_dual_bound_with_stable_constant(self, mixed_path_graph):
         g, tm, profs = mixed_path_graph
         cs = []
         for T in [2.0, 4.0, 8.0, 16.0]:
-            q = ActionQuery("x", "x", T, (), edge_cap=8)
+            q = ActionQuery("x", "x", T, ())
             dual = min_action(g, tm, profs, q)
-            exact = min_action_exact_oracle(g, tm, profs, q)
+            exact = min_action_exact_oracle(g, tm, profs, q, edge_cap=8)
             assert dual <= exact + 1e-9
             cs.append(exact - dual)
         # the detour construction: pause at y via the stiff edge, cost 2 sigma
@@ -146,11 +145,17 @@ class TestExactOracle:
         for _ in range(5):
             h = tuple(int(k) for k in rng.integers(-2, 3, size=2))
             T = float(rng.uniform(1.0, 4.0))
-            q = ActionQuery("v", "v", T, h, edge_cap=6)
+            q = ActionQuery("v", "v", T, h)
             dual = min_action(g, tm, profs, q)
-            exact = min_action_exact_oracle(g, tm, profs, q)
+            exact = min_action_exact_oracle(g, tm, profs, q, edge_cap=6)
             assert dual <= exact + 1e-9
             assert exact - dual <= 1e-7  # homogeneous bouquet: no gap
+
+
+def _between(g, tm, profs, z1, z2, T):
+    """Minimal action between two crystal vertices: their h difference."""
+    h = tuple(b - a for a, b in zip(z1.h, z2.h))
+    return min_action(g, tm, profs, ActionQuery(z1.base, z2.base, T, h))
 
 
 class TestNetworkMinAction:
@@ -158,18 +163,17 @@ class TestNetworkMinAction:
         g, tm, profs = bouquet_free
         z1 = CrystalVertex("v", (0, 0))
         z2 = CrystalVertex("v", (4, 0))
-        assert network_min_action(g, tm, profs, z1, z2, 8.0) == pytest.approx(
-            1.0, abs=1e-8)
+        assert _between(g, tm, profs, z1, z2, 8.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_translation_invariance(self, honeycomb_cos):
         g, tm, profs = honeycomb_cos
         z1 = CrystalVertex("x1", (0, 0))
         z2 = CrystalVertex("x2", (2, 1))
-        base = network_min_action(g, tm, profs, z1, z2, 3.0)
+        base = _between(g, tm, profs, z1, z2, 3.0)
         for shift in [(1, -2), (-3, 4)]:
             w1 = CrystalVertex("x1", (shift[0], shift[1]))
             w2 = CrystalVertex("x2", (2 + shift[0], 1 + shift[1]))
-            assert network_min_action(g, tm, profs, w1, w2, 3.0) == pytest.approx(
+            assert _between(g, tm, profs, w1, w2, 3.0) == pytest.approx(
                 base, abs=1e-10)
 
 

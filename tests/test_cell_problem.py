@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjnet import Path
-from hjnet.cell_problem import (CellWeights, convexity_probe,
-                                effective_hamiltonian, enumerate_circuits,
-                                min_cycle_weight)
+from hjnet.cell_problem import (CellWeights, effective_hamiltonian,
+                                enumerate_circuits, min_cycle_weight)
 from hjnet.edge_calculus import (QuadraticEdgeModel, TrigPoly, build_profiles)
 from hjnet.errors import LevelBelowMinimum
 
 from conftest import networks
-from oracles import karp_min_cycle_mean, simpson_sigma
+from oracles import convexity_probe, karp_min_cycle_mean, simpson_sigma
 
 
 def honeycomb_closed_form(p):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hjnet import Path
-from hjnet.crystal import (Crystal, CrystalEdge, CrystalVertex, graph_distance,
-                           lift_path, metric_invariance_check, project,
+from hjnet.crystal import (Crystal, CrystalEdge, CrystalVertex, project,
                            stable_norm_estimate)
 from hjnet.errors import BudgetExceeded
+
+from oracles import metric_invariance_check
 
 
 def _ball_graph(g, tm, radius):
@@ -54,8 +55,8 @@ def test_no_self_loops(honeycomb, bouquet):
 
 def test_lift_path_honeycomb(honeycomb):
     g, tm = honeycomb
-    lp = lift_path(g, tm, Path(("e1", "e0~")), (0, 0))
     c = Crystal(g, tm)
+    lp = c.lift_path(Path(("e1", "e0~")), (0, 0))
     assert lp.start == CrystalVertex("x1", (0, 0))
     assert c.terminus(lp.edges[-1]) == CrystalVertex("x1", (1, 0))
 
@@ -69,11 +70,12 @@ def test_lift_path_bouquet(bouquet):
 
 def test_lift_empty_path(bouquet):
     g, tm = bouquet
-    lp = lift_path(g, tm, Path(()), (2, 5), origin="v")
+    c = Crystal(g, tm)
+    lp = c.lift_path(Path(()), (2, 5), origin="v")
     assert lp.start == CrystalVertex("v", (2, 5))
     assert lp.edges == ()
     with pytest.raises(ValueError):
-        lift_path(g, tm, Path(()), (2, 5))
+        c.lift_path(Path(()), (2, 5))
 
 
 def test_project_round_trip(honeycomb):
@@ -97,14 +99,15 @@ def test_project_round_trip(honeycomb):
 
 def test_graph_distance_lattice(bouquet):
     g, tm = bouquet
+    c = Crystal(g, tm)
     z = CrystalVertex("v", (0, 0))
-    assert graph_distance(g, tm, z, z) == 0
-    assert graph_distance(g, tm, z, CrystalVertex("v", (2, 1))) == 3
+    assert c.graph_distance(z, z) == 0
+    assert c.graph_distance(z, CrystalVertex("v", (2, 1))) == 3
     # the 2-bouquet crystal is the Z^2 lattice: distance is the l1 norm
     rng = np.random.default_rng(5)
     for _ in range(20):
         h = rng.integers(-4, 5, size=2)
-        d = graph_distance(g, tm, z, CrystalVertex("v", tuple(int(k) for k in h)))
+        d = c.graph_distance(z, CrystalVertex("v", tuple(int(k) for k in h)))
         assert d == abs(int(h[0])) + abs(int(h[1]))
 
 
@@ -113,7 +116,7 @@ def test_graph_distance_adjacent(honeycomb):
     c = Crystal(g, tm)
     z = CrystalVertex("x1", (0, 0))
     w = next(iter(c.neighbors(z)))
-    assert graph_distance(g, tm, z, w) == 1
+    assert c.graph_distance(z, w) == 1
 
 
 def test_graph_distance_against_networkx(honeycomb):
@@ -121,13 +124,14 @@ def test_graph_distance_against_networkx(honeycomb):
 
     g, tm = honeycomb
     G = _ball_graph(g, tm, 5)
+    c = Crystal(g, tm)
     rng = np.random.default_rng(17)
     z = CrystalVertex("x1", (0, 0))
     for _ in range(15):
         v = g.vertices[int(rng.integers(0, 2))]
         h = tuple(int(k) for k in rng.integers(-2, 3, size=2))
         w = CrystalVertex(v, h)
-        assert graph_distance(g, tm, z, w) == nx.shortest_path_length(G, z, w)
+        assert c.graph_distance(z, w) == nx.shortest_path_length(G, z, w)
 
 
 def test_metric_invariance(honeycomb, bouquet):
@@ -166,11 +170,12 @@ def test_stable_norm_dominates_euclidean(honeycomb, bouquet):
 
 def test_distance_subadditive_along_multiples(bouquet, honeycomb):
     for g, tm in (bouquet, honeycomb):
+        c = Crystal(g, tm)
         z0 = CrystalVertex(g.vertices[0], (0, 0))
 
         def d(k, h):
             target = CrystalVertex(g.vertices[0], tuple(k * x for x in h))
-            return graph_distance(g, tm, z0, target)
+            return c.graph_distance(z0, target)
 
         for h in [(1, 0), (1, 1), (2, -1)]:
             for m in range(1, 4):
@@ -181,5 +186,5 @@ def test_distance_subadditive_along_multiples(bouquet, honeycomb):
 def test_budget_exceeded(bouquet):
     g, tm = bouquet
     with pytest.raises(BudgetExceeded):
-        graph_distance(g, tm, CrystalVertex("v", (0, 0)),
-                       CrystalVertex("v", (40, 40)), node_cap=100)
+        Crystal(g, tm).graph_distance(CrystalVertex("v", (0, 0)),
+                                      CrystalVertex("v", (40, 40)), node_cap=100)

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import linprog
+
 from hjnet.edge_calculus import (EdgeProfile, QuadraticEdgeModel,
                                  TabulatedEdgeModel, TrigPoly, build_profiles,
-                                 critical_value, discrete_hamiltonian,
-                                 discrete_lagrangian, edge_action, flux_limiter,
-                                 sigma_plus)
+                                 critical_value, flux_limiter)
 from hjnet.errors import DomainError, LevelBelowMinimum, NonConvexModel
 
 from oracles import dp_edge_action_refined, simpson_sigma
@@ -16,6 +16,30 @@ FREE = QuadraticEdgeModel()
 COS = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))  # rho^2/2 - cos(2 pi s)
 DRIFTED = QuadraticEdgeModel(kappa=1.5, drift=TrigPoly(const=0.4, sin=(0.3,)),
                              potential=TrigPoly(cos=(-0.5,), const=0.2))
+
+
+def _random_tables(n, seed=0):
+    """Tabulated models on 4 random interior s-knots, rows k (rho - b)^2 / 2 + c."""
+    rng = np.random.default_rng(seed)
+    rho = np.linspace(-2.0, 2.0, 7)
+    for _ in range(n):
+        s = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 4)), [1.0]])
+        rows = []
+        for _ in range(6):
+            c, k, b = rng.uniform(-1, 1), rng.uniform(0.5, 2), rng.uniform(-1, 1)
+            rows.append(k * (rho - b) ** 2 / 2 + c)
+        yield TabulatedEdgeModel(s, rho, np.array(rows))
+
+
+def _lp_critical_value(model):
+    """max over s of fiber_min, one LP per s-interval: max t subject to
+    t <= (1 - w) v0[j] + w v1[j] for every rho knot j, with w in [0, 1]."""
+    best = -np.inf
+    for v0, v1 in zip(model.values[:-1], model.values[1:]):
+        res = linprog([0.0, -1.0], A_ub=np.column_stack([v0 - v1, np.ones_like(v0)]),
+                      b_ub=v0, bounds=[(0.0, 1.0), (None, None)], method="highs")
+        best = max(best, -res.fun)
+    return best
 
 
 class TestCriticalValue:
@@ -29,18 +53,30 @@ class TestCriticalValue:
         shifted = QuadraticEdgeModel(potential=TrigPoly(const=3.0))
         assert critical_value(shifted) == pytest.approx(3.0, abs=1e-12)
 
+    def test_tabulated_exact(self):
+        """Tables with narrow s-intervals: the 25th drawn peaks at s = 0.99974,
+        inside an interval of width 5e-4, narrower than the spacing of a
+        2049-point grid."""
+        grid = np.linspace(0.0, 1.0, 200_001)
+        for model in _random_tables(40):
+            cv = critical_value(model)
+            assert cv >= model.fiber_min(grid).max() - 1e-12
+            assert cv == pytest.approx(_lp_critical_value(model), abs=1e-9)
+            assert EdgeProfile("e", model).a_e == pytest.approx(cv, abs=1e-12)
+            assert critical_value(model.reversed()) == cv
+
 
 class TestSigmaPlus:
     def test_free_closed_form(self):
-        assert sigma_plus(FREE, 2.0, 0.3) == pytest.approx(2.0, abs=1e-12)
-        assert sigma_plus(FREE, 0.0, 0.9) == 0.0
+        assert FREE.sigma_plus(0.3, 2.0) == pytest.approx(2.0, abs=1e-12)
+        assert FREE.sigma_plus(0.9, 0.0) == 0.0
 
     def test_cosine_at_zero(self):
-        assert sigma_plus(COS, 1.0, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert COS.sigma_plus(0.0, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_below_minimum_raises(self):
         with pytest.raises(LevelBelowMinimum):
-            sigma_plus(COS, -2.0, 0.5)
+            COS.sigma_plus(0.5, -2.0)
 
 
 class TestSigma:
@@ -114,33 +150,33 @@ def test_sigma_all_matches_simpson_oracle(honeycomb, models, offsets):
 class TestDiscreteHamiltonian:
     def test_free_inverse(self):
         p = EdgeProfile("e", FREE)
-        assert discrete_hamiltonian(p, 2.0) == pytest.approx(2.0, abs=1e-9)
+        assert p.hamiltonian(2.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_endpoint(self):
         p = EdgeProfile("e", COS)
-        assert discrete_hamiltonian(p, p.b_e) == pytest.approx(p.a_e, abs=1e-12)
+        assert p.hamiltonian(p.b_e) == pytest.approx(p.a_e, abs=1e-12)
 
     def test_round_trip(self):
         p = EdgeProfile("e", COS)
         for a in [p.a_e + 0.1, 1.0 + 1e-3, 2.0, 11.0]:
-            assert discrete_hamiltonian(p, float(p.sigma(a))) == pytest.approx(
+            assert p.hamiltonian(float(p.sigma(a))) == pytest.approx(
                 a, abs=1e-8)
 
     def test_below_domain_raises(self):
         p = EdgeProfile("e", COS)
         with pytest.raises(DomainError):
-            discrete_hamiltonian(p, p.b_e - 0.1)
+            p.hamiltonian(p.b_e - 0.1)
 
 
 class TestDiscreteLagrangian:
     def test_free_closed_form(self):
         p = EdgeProfile("e", FREE)
-        assert discrete_lagrangian(p, 3.0) == pytest.approx(4.5, abs=1e-8)
+        assert p.lagrangian(3.0) == pytest.approx(4.5, abs=1e-8)
 
     def test_zero_speed(self):
         for model in (FREE, COS, DRIFTED):
             p = EdgeProfile("e", model)
-            assert discrete_lagrangian(p, 0.0) == -p.a_e
+            assert p.lagrangian(0.0) == -p.a_e
 
     def test_fenchel_young(self):
         p = EdgeProfile("e", COS)
@@ -149,7 +185,7 @@ class TestDiscreteLagrangian:
             rho = p.b_e + float(rng.uniform(0, 4))
             lam = float(rng.uniform(0, 4))
             lhs = rho * lam
-            rhs = discrete_hamiltonian(p, rho) + discrete_lagrangian(p, lam)
+            rhs = p.hamiltonian(rho) + p.lagrangian(lam)
             assert lhs <= rhs + 1e-8
 
     def test_momentum_form_cross_check(self):
@@ -158,7 +194,7 @@ class TestDiscreteLagrangian:
         for lam in [0.3, 1.0, 2.5]:
             rhos = np.linspace(p.b_e, p.b_e + 30.0, 4001)
             vals = [rho * lam - p.hamiltonian(float(rho)) for rho in rhos]
-            assert discrete_lagrangian(p, lam) == pytest.approx(
+            assert p.lagrangian(lam) == pytest.approx(
                 max(vals), abs=5e-5)
 
 
@@ -236,7 +272,7 @@ class TestTabulated:
     def test_level_crossing_extrapolates(self):
         tab = self._from_quadratic(FREE, rho_span=2.0)
         # level above the sampled range: linear extrapolation of the end slope
-        val = sigma_plus(tab, 4.0, 0.5)
+        val = tab.sigma_plus(0.5, 4.0)
         assert val > 2.0
 
     def test_nonconvex_rejected(self):
@@ -276,19 +312,19 @@ class TestTabulated:
 class TestEdgeAction:
     def test_free_closed_form(self):
         p = EdgeProfile("e", FREE)
-        assert edge_action(p, 2.0) == pytest.approx(0.25, abs=1e-9)
-        assert edge_action(p, 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert p.action(2.0) == pytest.approx(0.25, abs=1e-9)
+        assert p.action(1.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_large_time_slope(self):
         p = EdgeProfile("e", COS)
         for T in [50.0, 200.0]:
-            assert edge_action(p, T) / T == pytest.approx(-p.a_e, abs=5e-2)
-        assert abs(edge_action(p, 200.0) / 200.0 + p.a_e) < abs(
-            edge_action(p, 50.0) / 50.0 + p.a_e)
+            assert p.action(T) / T == pytest.approx(-p.a_e, abs=5e-2)
+        assert abs(p.action(200.0) / 200.0 + p.a_e) < abs(
+            p.action(50.0) / 50.0 + p.a_e)
 
     def test_grid_dp_oracle(self):
         p = EdgeProfile("e", COS)
-        want = edge_action(p, 1.0)
+        want = p.action(1.0)
         got = dp_edge_action_refined(COS, 1.0)
         assert got == pytest.approx(want, rel=0.02)
 

@@ -6,24 +6,25 @@ import pytest
 from hjnet import build_graph, mather, spanning_tree, theta_map
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import BoxExpansionLimit
-from hjnet.mather import (MatherSolver, beta, beta_flow_oracle,
-                          conjugate_pair_check, get_solver)
+from hjnet.mather import MatherSolver, get_solver
+
+from oracles import beta_flow_oracle, conjugate_pair_check
 
 
 class TestBetaConjugation:
     def test_bouquet_closed_form(self, bouquet_free):
-        g, tm, profs = bouquet_free
-        assert beta(g, tm, profs, (1.0, 1.0)) == pytest.approx(2.0, abs=1e-6)
-        assert beta(g, tm, profs, (4.0, 0.0)) == pytest.approx(8.0, abs=1e-6)
+        solver = get_solver(*bouquet_free)
+        assert solver.beta((1.0, 1.0)) == pytest.approx(2.0, abs=1e-6)
+        assert solver.beta((4.0, 0.0)) == pytest.approx(8.0, abs=1e-6)
         rng = np.random.default_rng(2)
         for _ in range(10):
             h = rng.uniform(-2, 2, size=2)
             want = (abs(h[0]) + abs(h[1])) ** 2 / 2
-            assert beta(g, tm, profs, h) == pytest.approx(want, abs=1e-5)
+            assert solver.beta(h) == pytest.approx(want, abs=1e-5)
 
     def test_beta_zero_is_minus_a0(self, bouquet_free, honeycomb_cos):
         for g, tm, profs in (bouquet_free, honeycomb_cos):
-            assert beta(g, tm, profs, np.zeros(2)) == pytest.approx(
+            assert get_solver(g, tm, profs).beta(np.zeros(2)) == pytest.approx(
                 -profs.a0, abs=1e-8)
 
     def test_beta_convex(self, honeycomb_cos):
