@@ -9,7 +9,8 @@ minimal action.  ``path_action`` computes it on one fixed support.
 a >= a0 the cheapest lifted path from (x, 0) to (y, h) under the weights
 sigma(e, a) is found by Dijkstra on the crystal restricted to a rotation box
 (``BoxGraph``), with one Johnson potential from the cell problem at a0
-keeping every reweighted sigma(e, a) >= 0, and the bound
+keeping every reweighted sigma(e, a) >= 0; each search stops once the target
+is settled (at the hop bound of ``BoxGraph.distances(at=)``), and the bound
 max_a [Psi_a(x,y,h) - a T] is maximized on an adaptive geometric a-grid plus
 local refinement.  The clamp a >= a0 (instead of the per-path max of
 critical values) costs at most a T-independent additive constant, realized
@@ -90,8 +91,9 @@ class LiftedReach:
 
     ``dist`` has shape (n_a, |V0|, 2r+1, ..., 2r+1), one box axis per
     homology dimension, batched over the level grid ``a_values``; a reverse
-    box gives walks INTO the source (used by the rescaled-solution search,
-    which minimizes over starting vertices).  Levels must be >= a0.
+    box gives walks INTO the source.  Levels must be >= a0.  The library's
+    own searches read ``BoxGraph`` directly: ``min_action`` one node per
+    level, ``epsilon_solution`` one streamed level at a time.
     """
 
     cap_bound = False  # the search has no cap; bench/tracing.py counts this

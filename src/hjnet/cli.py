@@ -155,8 +155,10 @@ def cmd_action(args):
 def cmd_asymptotics(args):
     g, tm, profiles = _load_setup(args)
     direction = _check_dim(_vector(args.h_direction), tm.betti, "h direction")
-    rows = asymptotics_scan(g, tm, profiles, args.x, args.y, direction,
-                            _vector(args.T_list))
+    T_list = _vector(args.T_list)
+    if not T_list:
+        raise HJNetError("--T-list names no horizon T")
+    rows = asymptotics_scan(g, tm, profiles, args.x, args.y, direction, T_list)
     header = (["T"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["phi_over_T", "beta", "deviation"])
     _write_csv(header, [[r.T] + list(r.h) + [r.phi_over_T, r.beta, r.deviation]
@@ -184,7 +186,10 @@ def cmd_homogenize(args):
     g, tm, profiles = _load_setup(args)
     samples = []
     for part in args.samples.split(";"):
-        hpart, tpart = part.split("@")
+        fields = part.split("@")
+        if len(fields) != 2:
+            raise HJNetError(f"--samples entry {part!r} is not of the form h@t")
+        hpart, tpart = fields
         samples.append((_check_dim(_vector(hpart), tm.betti, "sample h"),
                         float(tpart)))
     grid = ExperimentGrid(tuple(samples), _vector(args.eps), radius=args.radius)

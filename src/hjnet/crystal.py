@@ -17,6 +17,15 @@ weight by Phi(end) - Phi(start) only.  Unweighted searches give graph
 distances; a box of radius r certifies a distance d <= r, because each
 theta(e) is zero or a signed unit vector, so a walk of d edges never leaves
 the box.
+
+A weighted search is hop-bounded when its caller reads only nodes at most k
+arcs from the source: reduced weights are nonnegative, so such a node lies
+within reduced distance k max_e w_red(e) along a shortest-hop walk, and the
+search stops there (``dijkstra(limit=)``, the hop-count case of the
+consistent-heuristic pruning of Hart, Nilsson and Raphael 1968).  Every
+node within k arcs keeps its distance bit for bit; nodes farther out may
+read inf.  ``BoxGraph.levels`` yields one level at a time, so a caller can
+reduce over levels without stacking them.
 """
 
 from __future__ import annotations
@@ -210,6 +219,8 @@ class BoxGraph:
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
                  radius: int, reverse: bool = False):
+        if radius < 0:
+            raise ValueError(f"crystal box radius {radius} is negative")
         self.g = g
         self.tm = tm
         self.source = source
@@ -240,9 +251,12 @@ class BoxGraph:
             shape=(n_nodes, n_nodes))
         self._source = int(np.ravel_multi_index(self.index(source.base, source.h),
                                                 self.shape))
+        self._hops = None
 
     def index(self, vertex: str, h) -> tuple[int, ...]:
         """Array index of crystal vertex (vertex, h); ValueError outside the box."""
+        if vertex not in self.g.vertices:
+            raise ValueError(f"unknown base vertex {vertex!r}")
         offset = np.asarray(h, dtype=int) - np.asarray(self.source.h, dtype=int)
         idx = offset + self.radius
         if np.any(idx < 0) or np.any(idx > 2 * self.radius):
@@ -250,30 +264,57 @@ class BoxGraph:
         return (self.g.vertices.index(vertex),) + tuple(int(i) for i in idx)
 
     def hops(self) -> np.ndarray:
-        """Number of arcs on the shortest walks from the source, inf if none."""
-        return dijkstra(self._graph, indices=self._source,
-                        unweighted=True).reshape(self.shape)
+        """Number of arcs on the shortest walks from the source, inf if none.
 
-    def distances(self, weights, potential: Potential, at=None) -> np.ndarray:
-        """Least walk weights from the source, one level per row of ``weights``.
+        Searched once per box; the array is read-only.
+        """
+        if self._hops is None:
+            self._hops = dijkstra(self._graph, indices=self._source,
+                                  unweighted=True).reshape(self.shape)
+            self._hops.flags.writeable = False
+        return self._hops
+
+    def levels(self, weights, potential: Potential, max_hops=np.inf):
+        """Least walk weights from the source over the box, one level at a time.
 
         ``weights`` has shape (levels, len(edges)), and ``potential`` must
-        make every row nonnegative (``reduced_weights``).  Returns an array of
-        shape (levels,) + shape, or of shape (levels,) for the single node
-        ``at`` (an ``index`` of this box).
+        make every row nonnegative (``reduced_weights``).  Yields one array
+        of ``shape`` per row.  Nodes at most ``max_hops`` arcs from the
+        source read their exact distance; nodes farther out may read inf.
         """
-        weights = np.atleast_2d(np.asarray(weights, dtype=float))
         shift = potential.edge_shift(self.g, self.tm)
-        full = at is None
-        node = None if full else np.ravel_multi_index(at, self.shape)
-        out = np.empty((weights.shape[0],) + (self.shape if full else ()))
-        for k, w in enumerate(weights):
-            np.take(reduced_weights(w, shift), self._arc_edge, out=self._graph.data)
-            d = dijkstra(self._graph, indices=self._source)
-            out[k] = d.reshape(self.shape) if full else d[node]
+        unshift = None
         if potential.d.any() or potential.p.any():
             unshift = self._unshift(potential)
-            out += unshift if full else unshift[at]
+        for w in np.atleast_2d(np.asarray(weights, dtype=float)):
+            w_red = reduced_weights(w, shift)
+            np.take(w_red, self._arc_edge, out=self._graph.data)
+            # the k arcs of a shortest-hop walk weigh at most k max(w_red);
+            # their float sum can exceed that by about k ulps, which the
+            # relative slack covers for any box that fits in memory
+            limit = np.inf
+            if np.isfinite(max_hops):
+                limit = max_hops * w_red.max(initial=0.0) * (1.0 + 1e-9)
+            d = dijkstra(self._graph, indices=self._source,
+                         limit=limit).reshape(self.shape)
+            if unshift is not None:
+                d += unshift
+            yield d
+
+    def distances(self, weights, potential: Potential, at=None) -> np.ndarray:
+        """Least walk weights from the source, stacked over the rows of ``weights``.
+
+        Returns an array of shape (levels,) + shape, or of shape (levels,)
+        for the single node ``at`` (an ``index`` of this box); a search for
+        ``at`` stops at the hop bound ``hops()[at]``.
+        """
+        if at is not None:
+            return np.array([d[at] for d in
+                             self.levels(weights, potential, self.hops()[at])])
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        out = np.empty((weights.shape[0],) + self.shape)
+        for k, d in enumerate(self.levels(weights, potential)):
+            out[k] = d
         return out
 
     def _unshift(self, potential: Potential) -> np.ndarray:

@@ -9,7 +9,10 @@ contains the minimizers (the ball radius follows from the datum's Lipschitz
 bound and the conjugate speeds of the effective Hamiltonian, and expands
 once if it binds).  Hop counts and the dual-level walk weights Phi come from
 one reverse crystal box around z (``crystal.BoxGraph``): one unweighted
-search, then one Dijkstra search per level.  The limit solution is the
+search, then one Dijkstra search per level that stops once every vertex of
+the ball (at most R/eps arcs from z) is settled.  The levels are streamed:
+each is folded into a running max and first argmax per vertex, so no
+(levels x box) array is stored.  The limit solution is the
 inf-convolution
 
     u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
@@ -31,7 +34,7 @@ from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, RadiusExhausted
-from .action import LiftedReach, _a_grid, crystal_potential
+from .action import _a_grid, crystal_potential
 from .mather import MatherSolver, get_solver
 
 logger = logging.getLogger(__name__)
@@ -106,6 +109,8 @@ class ExperimentGrid:
             raise ValueError("eps_list must be strictly decreasing")
         if any(t <= 0 for _, t in self.samples):
             raise ValueError("sample times must be positive")
+        if self.radius is not None and self.radius <= 0:
+            raise ValueError(f"search radius {self.radius} must be positive")
 
 
 def _datum_lipschitz(datum, b: int) -> float:
@@ -157,6 +162,8 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     """Value of the rescaled solution at crystal vertex z and time t."""
     if t <= 0 or eps <= 0:
         raise ValueError("t and eps must be positive")
+    if R is not None and R <= 0:
+        raise ValueError(f"search radius R = {R} must be positive")
     solver = get_solver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
     q_reach, a_cap = _reach_scales(solver, L)
@@ -176,6 +183,19 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         f"minimizer keeps touching the search ball even after expansion (R={R})")
 
 
+def _running_max(arrays, shape):
+    """Elementwise max over a stream of arrays of ``shape`` and the index of
+    the first array that attains it: np.max and np.argmax over their stack
+    (for arrays without NaN), without the stack."""
+    best = np.full(shape, -np.inf)
+    arg = np.zeros(shape, dtype=np.intp)
+    for k, phi in enumerate(arrays):
+        better = phi > best  # strict, so ties keep the first index
+        np.copyto(best, phi, where=better)
+        arg[better] = k
+    return best, arg
+
+
 def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
                            a_cap):
     T = t / eps
@@ -191,15 +211,18 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
     g_vals = datum.value(eps * lattice.astype(float)) if b else \
         np.asarray(datum.value(np.zeros(0)))
 
+    inside = hops <= hops_allowed
+
     def candidates(a_vals):
         """Datum plus eps times the best dual value over a_vals, per starting
-        vertex (inf outside the ball), and the index of that best level."""
-        phi = LiftedReach(box, profiles, a_vals, potential).dist
-        phi -= (a_vals * T).reshape((-1,) + (1,) * (b + 1))
-        best, arg = phi.max(axis=0), phi.argmax(axis=0)
-        del phi
-        u = g_vals[None, ...] + eps * best
-        return np.where(hops <= hops_allowed, u, np.inf), arg
+        vertex (inf outside the ball), and the first index of that best level."""
+        levels = box.levels(profiles.sigma_all(a_vals).T, potential,
+                            max_hops=hops_allowed)
+        best, arg = _running_max(
+            (np.subtract(phi, a * T, out=phi) for phi, a in zip(levels, a_vals)),
+            box.shape)
+        u = g_vals + eps * best
+        return np.where(inside, u, np.inf), arg
 
     for _ in range(12):
         a_vals = _a_grid(profiles.a0, offset, _DUAL_LEVELS)

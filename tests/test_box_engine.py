@@ -2,7 +2,8 @@
 
 Reaches (Dijkstra on a Johnson-reweighted box) are compared with the
 label-correcting sweeps of ``oracles.sweep_reach``; graph distances with
-networkx BFS on a materialized box.
+networkx BFS on a materialized box.  Hop-bounded searches are compared with
+the unbounded search they replace.
 """
 
 import itertools
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+from hjnet import crystal
 from hjnet.action import ActionQuery, LiftedReach, crystal_potential, min_action
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import (BoxGraph, Crystal, CrystalVertex, Potential,
                            reduced_weights)
 from hjnet.errors import NegativeReducedWeight
+from hjnet.homogenize import ConeDatum, LinearDatum, epsilon_solution
 
 from conftest import networks
 from oracles import sweep_reach, sweep_weights
@@ -57,6 +61,86 @@ def test_engine_matches_sweep_oracle(net, data):
     # a box of radius >= d holds every walk of <= d edges from the source
     G = _nx_box(g, tm, h0, max(d, 1))
     assert d == nx.shortest_path_length(G, (x, h0), (y, h1))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(net=networks(), data=st.data())
+def test_hop_bound_keeps_every_node_within_it(net, data):
+    """Hop-bounded searches equal the unbounded one bit for bit at every node
+    within the bound, forward and reverse, and at a single node ``at``."""
+    g, tm, profs = net
+    b = tm.betti
+    radius = data.draw(st.integers(1, 4))
+    x = data.draw(st.sampled_from(g.vertices))
+    h0 = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=b, max_size=b)))
+    steps = data.draw(st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=3))
+    w = profs.sigma_all(profs.a0 + np.array([0.0] + steps)).T
+    pot = crystal_potential(g, tm, profs)
+    for reverse in (False, True):
+        box = BoxGraph(g, tm, CrystalVertex(x, h0), radius, reverse)
+        full = box.distances(w, pot)
+        hops = box.hops()
+        k = data.draw(st.integers(0, int(hops[np.isfinite(hops)].max())))
+        within = hops <= k
+        for row, bounded in zip(full, box.levels(w, pot, max_hops=k)):
+            np.testing.assert_array_equal(bounded[within], row[within])
+        y = data.draw(st.sampled_from(g.vertices))
+        h1 = tuple(c + data.draw(st.integers(-radius, radius)) for c in h0)
+        at = box.index(y, h1)
+        np.testing.assert_array_equal(box.distances(w, pot, at=at),
+                                      full[(slice(None),) + at])
+
+
+def _unbounded_dijkstra(monkeypatch):
+    """Make every crystal search ignore its hop bound."""
+    monkeypatch.setattr(crystal, "dijkstra",
+                        lambda *args, limit=np.inf, **kw: dijkstra(*args, **kw))
+
+
+def test_hop_bound_leaves_answers_unchanged(honeycomb_cos, drifted_loop,
+                                            monkeypatch):
+    """epsilon_solution and min_action give the same floats without the bound.
+
+    On the drifted loop the minimizer of the zero datum sits near h = -2 t
+    (speed H_eff'(0) = 2), more than half way to the edge of the search ball
+    (R = 3 given, and R = 3.375 t + 1 by default), so a bound that covers
+    only part of the ball changes the answer.
+    """
+    cases = [
+        (honeycomb_cos, ConeDatum(1.5), CrystalVertex("x1", (4, 2)), 1.0, 1 / 8,
+         None),
+        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 2.0, 1 / 8,
+         None),
+        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 1.0, 1 / 8,
+         3.0),
+    ]
+    queries = [(honeycomb_cos, ActionQuery("x1", "x2", 16.0, (3, -2))),
+               (drifted_loop, ActionQuery("v", "v", 8.0, (5,))),
+               (drifted_loop, ActionQuery("v", "v", 4.0, (-3,)))]
+
+    def answers():
+        return ([epsilon_solution(*net, datum, z, t, eps, R=R)
+                 for net, datum, z, t, eps, R in cases]
+                + [min_action(*net, q) for net, q in queries])
+
+    bounded = answers()
+    _unbounded_dijkstra(monkeypatch)
+    assert answers() == bounded
+
+
+def test_negative_box_radius_rejected(honeycomb):
+    g, tm = honeycomb
+    with pytest.raises(ValueError, match="negative"):
+        BoxGraph(g, tm, CrystalVertex("x1", (0, 0)), -1)
+
+
+def test_unknown_vertex_named(honeycomb):
+    g, tm = honeycomb
+    with pytest.raises(ValueError, match="'nope'"):
+        BoxGraph(g, tm, CrystalVertex("nope", (0, 0)), 1)
+    box = BoxGraph(g, tm, CrystalVertex("x1", (0, 0)), 1)
+    with pytest.raises(ValueError, match="'nope'"):
+        box.index("nope", (0, 0))
 
 
 def test_honeycomb_uses_zero_potential(honeycomb_cos):
@@ -110,6 +194,23 @@ class TestDriftedLoop:
             at = box.index("v", h)
             np.testing.assert_array_equal(box.distances(w, pot, at=at),
                                           full[(slice(None),) + at])
+
+    def test_hop_bound_with_zero_reduced_weight(self, drifted_loop):
+        """At a0 every reduced weight of the loop is 0 under a nonzero
+        potential, so the bound is 0; the bounded search stays exact within
+        2 arcs, and above a0 it leaves nodes beyond them unsettled."""
+        g, tm, profs = drifted_loop
+        pot = crystal_potential(g, tm, profs)
+        w = profs.sigma_all(profs.a0 + np.array([0.0, 0.5])).T
+        shift = pot.edge_shift(g, tm)
+        assert not reduced_weights(w[0], shift).any()
+        for reverse in (False, True):
+            box = BoxGraph(g, tm, CrystalVertex("v", (0,)), 4, reverse)
+            within = box.hops() <= 2
+            full = box.distances(w, pot)
+            bounded = np.stack(list(box.levels(w, pot, max_hops=2)))
+            np.testing.assert_array_equal(bounded[:, within], full[:, within])
+            assert np.isfinite(full).all() and np.isinf(bounded[1, ~within]).any()
 
     def test_negative_reduced_weight_raises(self, drifted_loop):
         g, tm, profs = drifted_loop

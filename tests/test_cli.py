@@ -214,3 +214,35 @@ def test_homogenize_rejects_wrong_dimension(files, capsys):
     _rejects_dimension(files, capsys, ["homogenize", "--datum", "linear",
                                        "--p-datum", "1,0,0", "--samples",
                                        "0.5,0.25@1.0", "--eps", "0.25"], "--p-datum")
+
+
+@pytest.mark.parametrize("argv", [
+    ["action", "--x", "v", "--y", "nope", "--T", "8", "--h", "1,0"],
+    ["action", "--x", "nope", "--y", "v", "--T", "8", "--h", "1,0"],
+    ["asymptotics", "--x", "v", "--y", "nope", "--h-direction", "0.5,0",
+     "--T-list", "2"],
+    ["asymptotics", "--x", "nope", "--y", "v", "--h-direction", "0.5,0",
+     "--T-list", "2"],
+])
+def test_unknown_vertex_is_named(files, capsys, argv):
+    assert main(_bouquet_args(files, *argv)) == 2
+    assert "unknown base vertex 'nope'" in capsys.readouterr().err
+
+
+def test_homogenize_rejects_sample_without_time(files, capsys):
+    assert main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25",
+                              "--eps", "0.25,0.125")) == 2
+    assert "--samples entry '0.5,0.25'" in capsys.readouterr().err
+
+
+def test_asymptotics_rejects_empty_T_list(files, capsys):
+    assert main(_bouquet_args(files, "asymptotics", "--x", "v", "--y", "v",
+                              "--h-direction", "0.5,0", "--T-list", "")) == 2
+    assert "--T-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_homogenize_rejects_nonpositive_radius(files, capsys, radius):
+    assert main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25@1",
+                              "--eps", "0.25,0.125", f"--radius={radius}")) == 2
+    assert "search radius" in capsys.readouterr().err

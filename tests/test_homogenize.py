@@ -5,8 +5,9 @@ from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import CrystalVertex
 from hjnet.errors import RadiusExhausted
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
-                              TabulatedDatum, convergence_experiment,
-                              epsilon_solution, limit_solution)
+                              TabulatedDatum, _running_max,
+                              convergence_experiment, epsilon_solution,
+                              limit_solution)
 
 ZERO = LinearDatum((0.0, 0.0))
 
@@ -100,12 +101,35 @@ class TestEpsilonSolution:
                              1.0, 0.5, R=0.5)
 
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_rejects_nonpositive_radius(self, bouquet_free, R):
+        g, tm, profs = bouquet_free
+        with pytest.raises(ValueError, match="must be positive"):
+            epsilon_solution(g, tm, profs, ZERO, CrystalVertex("v", (0, 0)),
+                             1.0, 0.5, R=R)
+
+
+def test_running_max_keeps_first_maximal_level():
+    levels = [np.array([1.0, 3.0, np.inf, -np.inf, 2.0]),
+              np.array([2.0, 3.0, np.inf, -np.inf, 2.0]),
+              np.array([2.0, 1.0, np.inf, -np.inf, 2.0])]
+    best, arg = _running_max(iter(levels), (5,))
+    np.testing.assert_array_equal(best, np.max(levels, axis=0))
+    np.testing.assert_array_equal(arg, np.argmax(levels, axis=0))
+    np.testing.assert_array_equal(arg, [1, 0, 0, 0, 0])
+
+
 class TestConvergenceExperiment:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), 1.0),), (0.125, 0.25))
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), -1.0),), (0.25, 0.125))
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_grid_rejects_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.125), radius=radius)
 
     def test_grid_accepts_single_eps(self):
         grid = ExperimentGrid((((0.0, 0.0), 1.0),), (0.1,))
