@@ -10,13 +10,15 @@ a >= a0 the cheapest lifted path from (x, 0) to (y, h) under the weights
 sigma(e, a) is found by Dijkstra on the crystal restricted to a rotation box
 (``BoxGraph``), with one Johnson potential from the cell problem at a0
 keeping every reweighted sigma(e, a) >= 0; each search stops once the target
-is settled (at the hop bound of ``BoxGraph.distances(at=)``), and the bound
-max_a [Psi_a(x,y,h) - a T] is maximized on an adaptive geometric a-grid plus
-local refinement.  The clamp a >= a0 (instead of the per-path max of
-critical values) costs at most a T-independent additive constant, realized
-by bounded detours through the spanning tree; only T-normalized quantities
-enter the acceptance checks.  Only the h difference of two crystal vertices
-enters, so a query names base vertices and that difference.
+is settled (at the hop bound of ``BoxGraph.distances(at=)``).  The bound
+max_a [Psi_a(x,y,h) - a T] is concave in a and is maximized by the library's
+one bracketed concave search, ``edge_calculus._concave_max``, which
+``path_action`` and ``EdgeProfile.lagrangian`` use too.  The clamp a >= a0
+(instead of the per-path max of critical values) costs at most a
+T-independent additive constant, realized by bounded detours through the
+spanning tree; only T-normalized quantities enter the acceptance checks.
+Only the h difference of two crystal vertices enters, so a query names base
+vertices and that difference.
 
 The exhaustive support enumeration that measures the constant on tiny
 instances is a test oracle (``tests/oracles.py``).
@@ -27,15 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .base_graph import BaseGraph, Path, ThetaMap
 from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
 from .edge_calculus import EdgeProfiles, _concave_max
-from .errors import BudgetExceeded, Unreachable
+from .errors import Unreachable
 from .mather import get_solver
-
-_A_GRID = 64  # levels of the dual a-grid of min_action
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,10 @@ class LiftedReach:
         return self.dist[(slice(None),) + self.box.index(vertex, h)]
 
 
-def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
-    return np.concatenate([[a0], a0 + np.geomspace(1e-6, offset, n - 1)])
-
-
 def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                query: ActionQuery) -> float:
-    """Dual minimal-action bound max_a [Psi_a(x, y, h) - a T]."""
+    """Dual minimal-action bound max_{a >= a0} [Psi_a(x, y, h) - a T], concave
+    in a; ``_concave_max`` runs one Dijkstra search per evaluation."""
     if query.T <= 0:
         raise ValueError("T must be positive")
     h = np.asarray(query.h, dtype=int)
@@ -126,39 +122,20 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     if np.max(np.abs(h), initial=0) > radius:
         raise Unreachable(f"h = {query.h} lies outside the rotation box of "
                           f"radius {radius}")
-    a0 = profiles.a0
-    offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
     box = BoxGraph(g, tm, CrystalVertex(query.x, (0,) * tm.betti), radius)
-    potential = crystal_potential(g, tm, profiles)
     target = box.index(query.y, h)
+    if not np.isfinite(box.hops()[target]):
+        raise Unreachable(
+            f"no lifted path from ({query.x}, 0) to ({query.y}, {query.h}) "
+            f"within radius {radius}")
+    potential = crystal_potential(g, tm, profiles)
 
-    def psi(a_values) -> np.ndarray:
-        return box.distances(profiles.sigma_all(np.atleast_1d(a_values)).T,
-                             potential, at=target)
+    def dual(a: float) -> float:
+        psi = box.distances(profiles.sigma_all([a]).T, potential, at=target)
+        return float(psi[0]) - a * query.T
 
-    for _ in range(20):
-        grid = _a_grid(a0, offset, _A_GRID)
-        vals = psi(grid) - grid * query.T
-        if not np.any(np.isfinite(vals)):
-            raise Unreachable(
-                f"no lifted path from ({query.x}, 0) to ({query.y}, {query.h}) "
-                f"within radius {radius}")
-        i = int(np.argmax(vals))
-        if i < _A_GRID - 1:
-            break
-        offset *= 2.0
-    else:
-        raise BudgetExceeded("a-grid upper end kept binding")
-
-    best = float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if hi > lo:
-        res = minimize_scalar(lambda a: -(float(psi([a])[0]) - a * query.T),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-9})
-        best = max(best, float(-res.fun))
-    return best
+    offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
+    return _concave_max(dual, profiles.a0, hi_hint=offset)
 
 
 @dataclass

@@ -8,9 +8,10 @@ critical level
 
     effective_hamiltonian(p) = max(a0, inf{a >= a0 : all cycle weights >= 0})
 
-is found by sign bisection on the minimum cycle mean.  The minimum cycle
-mean (Karp) is a finite stand-in for the infimum of cycle weights: both have
-the same sign, and they agree on single-edge circuits.
+is the root of the minimum cycle mean, found by the root search that the
+discrete Hamiltonian shares (``edge_calculus._increasing_root``).  The
+minimum cycle mean (Karp) is a finite stand-in for the infimum of cycle
+weights: both have the same sign, and they agree on single-edge circuits.
 
 The weights of all edges come from one ``EdgeProfiles.sigma_all`` call and
 the stacked theta matrix.  Karp's table D[k, v], the least weight of a k-edge
@@ -26,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .base_graph import BaseGraph, Path, ThetaMap
-from .edge_calculus import EdgeProfiles
+from .edge_calculus import EdgeProfiles, _increasing_root
 from .errors import BudgetExceeded
 
 DEFAULT_BISECTION_TOL = 1e-8
@@ -86,19 +86,8 @@ def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                           p) -> float:
     """Critical level of the p-twisted cell problem (Mather's alpha at p)."""
     p = np.asarray(p, dtype=float)
-    a0 = profiles.a0
-
-    def f(a):
-        return min_cycle_weight(g, tm, profiles, p, a)
-
-    if f(a0) >= 0.0:
-        return a0
-    offset = 1.0
-    while f(a0 + offset) < 0.0:
-        offset *= 2.0
-        if offset > 1e12:
-            raise BudgetExceeded("cycle weights never became nonnegative")
-    return float(brentq(f, a0, a0 + offset, xtol=DEFAULT_BISECTION_TOL))
+    return _increasing_root(lambda a: min_cycle_weight(g, tm, profiles, p, a),
+                            profiles.a0, DEFAULT_BISECTION_TOL)
 
 
 def enumerate_circuits(g: BaseGraph) -> list[Path]:

@@ -288,30 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--arc-samples", type=int)
     p.set_defaults(fn=cmd_embed)
+    ap.subcommands = sub.choices
     return ap
 
 
-def _apply_config(args):
+def _parse(ap: argparse.ArgumentParser, argv):
+    """Parse argv with a ``--config`` file's values as the subcommand's
+    defaults: an explicit flag beats the config, which beats the default."""
+    args = ap.parse_args(argv)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            defaults = json.load(fh)
-        options = set(vars(args)) - {"command", "fn", "config"}
-        unknown = [k for k in defaults if k.replace("-", "_") not in options]
+            config = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+        options = vars(args).keys() - {"command", "fn", "config"}
+        unknown = [k for k in config if k not in options]
         if unknown:
             raise HJNetError(f"--config key(s) {', '.join(map(repr, unknown))} "
                              f"name no option of {args.command!r}")
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr) in (None, [], False):
-                setattr(args, attr, value)
+        sub, unset = ap.subcommands[args.command], []
+        # options argv leaves out read ``unset``; a flag given replaces the config
+        sub.set_defaults(**dict.fromkeys(config, unset))
+        given = {k for k, v in vars(ap.parse_args(argv)).items() if v is not unset}
+        sub.set_defaults(**{k: v for k, v in config.items() if k not in given})
+        args = ap.parse_args(argv)
     return args
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _parse(ap, argv)
         return args.fn(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, HJNetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

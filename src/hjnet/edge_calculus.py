@@ -79,10 +79,6 @@ class TrigPoly:
             out += c * np.sin(2 * np.pi * k * s)
         return out
 
-    @property
-    def is_zero(self):
-        return self.const == 0 and not any(self.cos) and not any(self.sin)
-
 
 class QuadraticEdgeModel:
     """H(s, rho) = kappa rho^2 / 2 + drift(s) rho + potential(s), kappa > 0."""
@@ -171,10 +167,8 @@ class TabulatedEdgeModel:
         cols = self._columns(s)
         j = np.clip(np.searchsorted(self.rho_grid, rho) - 1, 0, self.rho_grid.size - 2)
         r0 = self.rho_grid[j]
-        slope = (np.take_along_axis(cols, (j + 1)[:, None], 1)[:, 0]
-                 - np.take_along_axis(cols, j[:, None], 1)[:, 0]) / (self.rho_grid[j + 1] - r0)
-        base = np.take_along_axis(cols, j[:, None], 1)[:, 0]
-        return base + slope * (rho - r0)
+        c0, c1 = (np.take_along_axis(cols, k[:, None], 1)[:, 0] for k in (j, j + 1))
+        return c0 + (c1 - c0) / (self.rho_grid[j + 1] - r0) * (rho - r0)
 
     def fiber_min(self, s):
         return self._columns(s).min(axis=1)
@@ -193,7 +187,6 @@ class TabulatedEdgeModel:
         j = n - 1 - np.argmax(le[:, ::-1], axis=1)
         j = np.where(le.any(axis=1), j, np.argmin(cols, axis=1))
         rows = np.arange(cols.shape[0])
-        out = np.empty(cols.shape[0])
         at_end = j == n - 1
         # interior crossing between j and j+1
         ji = np.where(at_end, n - 2, j)
@@ -359,17 +352,32 @@ def critical_value(model) -> float:
 
 
 def _concave_max(f, lo: float, hi_hint: float = 1.0) -> float:
-    """Max of a concave function on [lo, inf): doubling bracket + local search."""
+    """Max of a concave function on [lo, inf): doubling bracket (one evaluation
+    per doubling, whose midpoint is the last upper end) + local search."""
     step = max(hi_hint, 1e-6)
-    hi = lo + step
-    while f(lo + step) > f(lo + 0.5 * step):
+    f_hi = f(lo + step)
+    f_mid = f(lo + 0.5 * step)
+    while f_hi > f_mid:
         step *= 2.0
-        hi = lo + step
         if step > 1e14:
             raise BudgetExceeded("concave bracket expansion failed")
-    res = minimize_scalar(lambda a: -f(a), bounds=(lo, hi), method="bounded",
-                          options={"xatol": _CONCAVE_XATOL})
+        f_mid, f_hi = f_hi, f(lo + step)
+    res = minimize_scalar(lambda a: -f(a), bounds=(lo, lo + step),
+                          method="bounded", options={"xatol": _CONCAVE_XATOL})
     return max(float(-res.fun), float(f(lo)))
+
+
+def _increasing_root(f, lo: float, xtol: float) -> float:
+    """Least a >= lo with f(a) >= 0 for an increasing f: lo itself, or the
+    root by doubling bracket + brentq."""
+    if f(lo) >= 0.0:
+        return lo
+    step = 1.0
+    while f(lo + step) < 0.0:
+        step *= 2.0
+        if step > 1e12:
+            raise BudgetExceeded("root bracket expansion failed")
+    return float(brentq(f, lo, lo + step, xtol=xtol))
 
 
 class EdgeProfile:
@@ -413,15 +421,7 @@ class EdgeProfile:
         if rho < self.b_e - 1e-9:
             raise DomainError(
                 f"discrete Hamiltonian of {self.edge_id} undefined below b_e={self.b_e}")
-        if rho <= self.b_e:
-            return self.a_e
-        step, hi = 1.0, self.a_e + 1.0
-        while self.sigma(hi) < rho:
-            step *= 2.0
-            hi = self.a_e + step
-            if step > 1e12:
-                raise DomainError(f"sigma({self.edge_id}) never reaches {rho}")
-        return float(brentq(lambda a: self.sigma(a) - rho, self.a_e, hi, xtol=1e-12))
+        return _increasing_root(lambda a: self.sigma(a) - rho, self.a_e, 1e-12)
 
     def lagrangian(self, lam: float) -> float:
         """Fenchel conjugate of the discrete Hamiltonian at speed lam >= 0.

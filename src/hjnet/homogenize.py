@@ -17,14 +17,15 @@ inf-convolution
 
     u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
 
-computed on an adaptive grid of displacements around h; each grid level
-conjugates all its displacements in one ``MatherSolver.beta_batch`` call.
-The convergence experiment compares the two along a decreasing list of eps
-at nearest lattice vertices.
+computed by ``mather._refine_max``, the grid search of beta, over the
+displacements q = (h - h0)/t, each level's q in one ``beta_batch`` call.
+The convergence experiment compares u_eps at the lattice vertex nearest to
+each sample h with u at that vertex, along a decreasing list of eps.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -34,15 +35,14 @@ from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, RadiusExhausted
-from .action import _a_grid, crystal_potential
-from .mather import MatherSolver, get_solver
+from .action import crystal_potential
+from .mather import MatherSolver, _refine_max, get_solver
 
 logger = logging.getLogger(__name__)
 
 _DUAL_LEVELS = 48  # levels of each dual a-grid of epsilon_solution
 _REACH_DIRS = 16  # random momentum directions of _reach_scales, plus the axes
 _HOPF_TOL = 1e-4  # limit_solution refines while grid half-width times t exceeds it
-_HOPF_PTS = 9  # grid points per axis of each limit_solution level
 
 
 class InitialDatum:
@@ -119,6 +119,10 @@ def _datum_lipschitz(datum, b: int) -> float:
     return float(datum.lipschitz)
 
 
+def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
+    return np.concatenate([[a0], a0 + np.geomspace(1e-6, offset, n - 1)])
+
+
 def _reach_scales(solver: MatherSolver, L: float):
     """Conjugate speed bound and level cap for momenta up to |p| <= L + 1/2.
 
@@ -146,14 +150,11 @@ def _reach_scales(solver: MatherSolver, L: float):
     return 1.25 * q_reach + 0.25, a_cap + 1.0
 
 
-def _box_lattice(center, radius: int, b: int):
-    """Integer h values of the box as an array of shape (n, ..., n, b)."""
-    n = 2 * radius + 1
+def _box_lattice(center, radius: int):
+    """Integer h values of the box around center (b >= 1 entries), as an
+    array of shape (2r+1, ..., 2r+1, b)."""
     axes = [np.arange(-radius, radius + 1) + int(c) for c in center]
-    if b == 0:
-        return np.zeros((1, 0), dtype=int).reshape(() + (0,))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
@@ -207,9 +208,8 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
 
     box = BoxGraph(g, tm, z, rbox, reverse=True)
     hops = box.hops()
-    lattice = _box_lattice(h_z, rbox, b)
-    g_vals = datum.value(eps * lattice.astype(float)) if b else \
-        np.asarray(datum.value(np.zeros(0)))
+    g_vals = (datum.value(eps * _box_lattice(h_z, rbox).astype(float)) if b
+              else np.asarray(datum.value(np.zeros(0))))
 
     inside = hops <= hops_allowed
 
@@ -265,7 +265,8 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
 
 def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
-    """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by grid refinement."""
+    """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)]: ``_refine_max`` on
+    its negation over q = (h - h0)/t, with box doubling and a polished beta."""
     if t <= 0:
         raise ValueError("t must be positive")
     solver = get_solver(g, tm, profiles)
@@ -276,23 +277,15 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     L = _datum_lipschitz(datum, b)
     q_reach, _ = _reach_scales(solver, L)
 
+    def neg_hopf(P):  # -(g(h - t q) + t beta(q)) on the one grid P[0]
+        return -(np.array([datum.value(h - t * q) for q in P[0]], dtype=float)
+                 + t * solver.beta_batch(P[0], polish=False, levels=18))[None]
+
     hw = max(1.0, q_reach)
     for _ in range(20):
-        center = np.zeros(b)
-        best_q, best_val = center, np.inf
-        hw_level = hw
-        while hw_level * t > _HOPF_TOL:
-            axes = [np.linspace(center[i] - hw_level, center[i] + hw_level, _HOPF_PTS)
-                    for i in range(b)]
-            qs = np.stack(np.meshgrid(*axes, indexing="ij"),
-                          axis=-1).reshape(-1, b)
-            vals = (np.array([datum.value(h - t * q) for q in qs], dtype=float)
-                    + t * solver.beta_batch(qs, polish=False, levels=18))
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best_q = float(vals[i]), qs[i]
-            center = qs[i]
-            hw_level /= 2.0
+        # one level per halving while the half-width times t exceeds the tolerance
+        levels = next(k for k in itertools.count() if hw / 2.0**k * t <= _HOPF_TOL)
+        best_q = _refine_max(neg_hopf, 1, b, hw, levels)[0][0]
         if np.max(np.abs(best_q)) < hw * (1 - 1e-9):
             return float(datum.value(h - t * best_q) + t * solver.beta(best_q))
         hw *= 2.0
@@ -312,25 +305,24 @@ class ExperimentReport:
 def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                            datum: InitialDatum,
                            grid: ExperimentGrid) -> ExperimentReport:
-    """Compare rescaled and limit solutions over the experiment grid, at
-    crystal vertices over the first base vertex."""
+    """Compare u_eps at z = (x0, round(h / eps)), x0 the first base vertex,
+    with the limit at eps round(h / eps) for every sample (h, t) and eps;
+    each distinct limit point is solved once."""
     report = ExperimentReport()
     x0 = g.vertices[0]
     limits = {}
-    for (h, t) in grid.samples:
-        limits[(h, t)] = limit_solution(g, tm, profiles, datum, h, t)
     for eps in grid.eps_list:
         sup_err = 0.0
         for (h, t) in grid.samples:
-            h_arr = np.asarray(h, dtype=float)
-            h_z = tuple(int(k) for k in np.round(h_arr / eps))
-            z = CrystalVertex(x0, h_z)
-            u_eps = epsilon_solution(g, tm, profiles, datum, z, t, eps,
-                                     R=grid.radius)
-            u_lim = limits[(h, t)]
-            err = abs(u_eps - u_lim)
+            h_z = tuple(int(k) for k in np.round(np.asarray(h, dtype=float) / eps))
+            at = (tuple(float(eps * k) for k in h_z), t)
+            if at not in limits:
+                limits[at] = limit_solution(g, tm, profiles, datum, *at)
+            u_eps = epsilon_solution(g, tm, profiles, datum, CrystalVertex(x0, h_z),
+                                     t, eps, R=grid.radius)
+            err = abs(u_eps - limits[at])
             sup_err = max(sup_err, err)
             report.rows.append({"eps": eps, "h": h, "t": t, "u_eps": u_eps,
-                                "u_limit": u_lim, "abs_error": err})
+                                "u_limit": limits[at], "abs_error": err})
         report.sup_error_per_eps[eps] = sup_err
     return report

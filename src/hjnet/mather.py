@@ -7,22 +7,24 @@ over directed simple circuits xi, of
     S_xi(a) = <p, theta(xi)>        with  S_xi(a) = sum_{e in xi} sigma(e, a),
 
 clipped from below at a0 (each S_xi is strictly increasing, so the root is
-found by inverse interpolation, then polished by exact root finding).  This
-agrees with the sign-bisection route of
-``cell_problem.effective_hamiltonian``; the test suite pins the two routes
-together.  Every computation here is a method of the one ``MatherSolver``
-per network that ``get_solver(g, tm, profiles)`` returns.
+found by one inverse interpolation that ``alpha`` and ``alpha_batch`` share,
+then polished in ``alpha`` by exact root finding).  This agrees with the
+cycle-mean route of ``cell_problem.effective_hamiltonian``; the test suite
+pins the two routes together.  Every computation here is a method of the
+one ``MatherSolver`` per network that ``get_solver(g, tm, profiles)``
+returns.
 
 alpha, beta and the flow LP below read sigma from one append-only ladder
 per solver: levels a0 and a0 + 4e-7 rho^j (516 per doubling of a - a0), with
 per-edge sigma and circuit sums.  It grows one block at a time, only as far
 as a query needs, and never changes a level, so answers are history-free.
 
-beta is the Fenchel conjugate of alpha, computed by adaptive grid refinement
-of the concave objective <p, h> - alpha(p) with automatic box expansion.
-``beta_batch`` refines one 9^b grid per h, each level in one ``alpha_batch``
-call over all grids (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat
-at b = 3); each row is computed as if alone, and ``beta`` is a one-row batch.
+beta is the Fenchel conjugate of alpha: ``_refine_max``, the grid search
+that ``homogenize.limit_solution`` shares, maximizes <p, h> - alpha(p) on
+one 9^b grid per h, each level in one ``alpha_batch`` call over all grids
+(in chunks of ``_ROW_CHUNK`` rows, so memory stays flat at b = 3), with
+automatic box expansion; each row is computed as if alone, and ``beta`` is
+a one-row batch.
 ``flow_oracle`` realizes beta independently as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
@@ -79,6 +81,29 @@ class ClosedFlow:
         return max(abs(x) for x in net.values())
 
 
+def _refine_max(objective, m: int, b: int, halfwidth: float, levels: int):
+    """Best point seen and its value per row of m grid searches over R^b: per
+    level, ``objective`` maps the stacked 9^b grids (m, 9^b, b) to (m, 9^b),
+    and each row recentres on its best point and halves the half-width."""
+    rows = np.arange(m)
+    grid = np.indices((_REFINE_PTS,) * b).reshape(b, -1).T  # C-order multi-indices
+    center = np.zeros((m, b))
+    best_p, best_val = center.copy(), np.full(m, -np.inf)
+    hw = halfwidth
+    for _ in range(levels):
+        axes = np.linspace(center - hw, center + hw, _REFINE_PTS, axis=-1)  # (m, b, 9)
+        # (m, 9^b, b), C-contiguous so each row's BLAS call is the same
+        P = np.ascontiguousarray(axes[:, np.arange(b), grid])
+        vals = objective(P)
+        i = vals.argmax(axis=1)
+        top, center = vals[rows, i], P[rows, i]
+        better = top > best_val
+        best_val[better] = top[better]
+        best_p[better] = center[better]
+        hw /= 2.0
+    return best_p, best_val
+
+
 class MatherSolver:
     """Cached alpha/beta machinery for one (graph, theta, profiles) triple.
 
@@ -130,6 +155,13 @@ class MatherSolver:
 
     # ----- alpha -----
 
+    def _circuit_levels(self, r: np.ndarray):
+        """Per circuit xi in turn, the ladder level a where S_xi(a) reaches
+        column xi of r (rows, circuits), interpolated; a0 where S_xi(a0) does."""
+        a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
+        for ci in range(r.shape[1]):
+            yield np.interp(r[:, ci], S[ci], a_vals)
+
     def alpha_batch(self, P: np.ndarray) -> np.ndarray:
         """Interpolated effective Hamiltonian at each row of P (shape (m, b))."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -138,10 +170,9 @@ class MatherSolver:
             return out
         for lo in range(0, P.shape[0], _ROW_CHUNK):
             r = P[lo:lo + _ROW_CHUNK] @ self.circuit_theta.T  # (rows, n_circuits)
-            a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
             part = out[lo:lo + _ROW_CHUNK]
-            for ci in range(len(self.circuits)):
-                np.maximum(part, np.interp(r[:, ci], S[ci], a_vals), out=part)
+            for level in self._circuit_levels(r):
+                np.maximum(part, level, out=part)
         return out
 
     def alpha(self, p, polish: bool = True) -> float:
@@ -150,10 +181,7 @@ class MatherSolver:
         if not self.circuits:
             return self.a0
         r = self.circuit_theta @ p
-        a_vals, S = self._cover(r)
-        cand = np.full(len(self.circuits), self.a0)
-        for ci in range(len(self.circuits)):
-            cand[ci] = max(self.a0, float(np.interp(r[ci], S[ci], a_vals)))
+        cand = np.concatenate(list(self._circuit_levels(r[None])))
         best = float(cand.max())
         if not polish:
             return best
@@ -161,40 +189,13 @@ class MatherSolver:
         for ci in np.nonzero(cand >= best - 1e-3)[0]:
             if self._circuit_sum(ci, self.a0) >= r[ci]:
                 continue
-            hi = a_vals[max(1, np.searchsorted(S[ci], r[ci], side="right"))]
+            hi = self._a[max(1, np.searchsorted(self._S[ci], r[ci], side="right"))]
             root = brentq(lambda a: self._circuit_sum(ci, a) - r[ci],
                           self.a0, hi, xtol=1e-11)
             val = max(val, float(root))
         return val
 
     # ----- beta by conjugation -----
-
-    def _refine_max(self, H: np.ndarray, halfwidth: float, levels: int):
-        """Adaptive grid maximization of <p, h> - alpha(p) for each row h of H.
-
-        Each row refines its own 9^b grid around its own best point; one
-        ``alpha_batch`` call per level evaluates the stacked grids of all
-        rows.  Returns (p*, value) per row.
-        """
-        m, b = H.shape
-        rows = np.arange(m)
-        grid = np.indices((_REFINE_PTS,) * b).reshape(b, -1).T  # C-order multi-indices
-        center = np.zeros((m, b))
-        best_p, best_val = center.copy(), np.full(m, -np.inf)
-        hw = halfwidth
-        for _ in range(levels):
-            axes = np.linspace(center - hw, center + hw, _REFINE_PTS, axis=-1)  # (m, b, 9)
-            # (m, 9^b, b), C-contiguous so each row's BLAS call is the same
-            P = np.ascontiguousarray(axes[:, np.arange(b), grid])
-            vals = (np.matmul(P, H[:, :, None])[..., 0]
-                    - self.alpha_batch(P.reshape(-1, b)).reshape(m, -1))
-            i = vals.argmax(axis=1)
-            top, center = vals[rows, i], P[rows, i]
-            better = top > best_val
-            best_val[better] = top[better]
-            best_p[better] = center[better]
-            hw /= 2.0
-        return best_p, best_val
 
     def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX,
                    polish: bool = True, levels: int = 24,
@@ -213,7 +214,11 @@ class MatherSolver:
         todo = np.arange(H.shape[0])
         hw = float(search_box)
         for _ in range(max_expansions + 1):
-            p_star, val = self._refine_max(H[todo], hw, levels)
+            Ht = H[todo]
+            p_star, val = _refine_max(  # <p, h> - alpha(p) on each row's grid
+                lambda P: np.matmul(P, Ht[:, :, None])[..., 0]
+                - self.alpha_batch(P.reshape(-1, H.shape[1])).reshape(P.shape[:2]),
+                todo.size, H.shape[1], hw, levels)
             inside = np.abs(p_star).max(axis=1) < hw * (1 - 1e-9)
             if polish:
                 for k in np.nonzero(inside)[0]:

@@ -19,6 +19,7 @@ import numpy as np
 from .base_graph import BaseGraph, ThetaMap
 
 DEFAULT_ARC_SAMPLES = 33
+_LOOP_BULGE = 0.25  # offset magnitude of a self-loop's arc in straight()
 
 
 @dataclass
@@ -42,12 +43,11 @@ class BaseEmbedding:
 
     @classmethod
     def straight(cls, g: BaseGraph, vertex_coords: dict,
-                 n_samples: int = DEFAULT_ARC_SAMPLES,
-                 loop_bulge: float = 0.25) -> "BaseEmbedding":
+                 n_samples: int = DEFAULT_ARC_SAMPLES) -> "BaseEmbedding":
         """Straight segments between vertex images; self-loops get a bump.
 
         A self-loop cannot be a straight segment, so it is drawn as a small
-        planar loop orthogonal offsets of magnitude loop_bulge, distinguished
+        planar loop orthogonal offsets of magnitude _LOOP_BULGE, distinguished
         per edge to keep arcs disjoint.
         """
         coords = {v: np.asarray(c, dtype=float) for v, c in vertex_coords.items()}
@@ -60,8 +60,8 @@ class BaseEmbedding:
             pts = (1 - s)[:, None] * a + s[:, None] * b
             if g.origin(e) == g.terminus(e):
                 bump = np.zeros((n_samples, k))
-                bump[:, j % k] = loop_bulge * np.sin(np.pi * s)
-                bump[:, (j + 1) % k] += loop_bulge * np.sin(2 * np.pi * s)
+                bump[:, j % k] = _LOOP_BULGE * np.sin(np.pi * s)
+                bump[:, (j + 1) % k] += _LOOP_BULGE * np.sin(2 * np.pi * s)
                 pts = pts + bump
             arcs[e] = pts
         emb = cls(coords, arcs)

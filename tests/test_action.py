@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,49 @@ def test_psi_concave_in_a(honeycomb_cos):
     psi = reach.at("x2", (2, 1))
     assert np.isfinite(psi).all()
     assert (psi[1:-1] >= (psi[:-2] + psi[2:]) / 2 - 1e-10).all()
+
+
+def _k4_drift():
+    """K4 (b = 3) with drift 1 on every edge: sigma(e, a0) = -1 < 0."""
+    g = build_graph({"vertices": list("abcd"),
+                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
+                               for u, v in itertools.combinations("abcd", 2)]})
+    tm = theta_map(g, spanning_tree(g))
+    profs = build_profiles(g, {e: QuadraticEdgeModel(drift=TrigPoly(const=1.0))
+                               for e in g.orientation})
+    return g, tm, profs
+
+
+def _grid_dual_max(g, tm, profs, q, top, n=101, rounds=8):
+    """Max of Psi_a - a T over level grids of a LiftedReach on min_action's
+    box: n levels on [a0, top], then n levels between the neighbours of the
+    best level, ``rounds`` times.  The dual is concave, so each bracket
+    holds its maximizer."""
+    reach_box = BoxGraph(g, tm, CrystalVertex(q.x, (0,) * tm.betti), q.radius())
+    lo, hi, best = profs.a0, top, -np.inf
+    for k in range(rounds):
+        a = np.linspace(lo, hi, n)
+        vals = LiftedReach(reach_box, profs, a).at(q.y, q.h) - a * q.T
+        i = int(np.argmax(vals))
+        assert k or i < n - 1  # the first grid brackets the maximizer
+        best = max(best, float(vals[i]))
+        lo, hi = a[max(i - 1, 0)], a[min(i + 1, n - 1)]
+    return best
+
+
+@pytest.mark.parametrize("network, x, y, T, h", [
+    ("honeycomb_cos", "x1", "x2", 16.0, (7, 3)),
+    ("honeycomb_cos", "x1", "x1", 5.0, (-1, 2)),
+    ("k4_drift", "a", "b", 8.0, (-2, 0, -3)),
+    ("k4_drift", "c", "c", 6.0, (1, 1, 0)),
+])
+def test_min_action_matches_dense_level_grid(request, network, x, y, T, h):
+    g, tm, profs = (request.getfixturevalue(network) if network == "honeycomb_cos"
+                    else _k4_drift())
+    q = ActionQuery(x, y, T, h)
+    got = min_action(g, tm, profs, q)
+    assert got == pytest.approx(_grid_dual_max(g, tm, profs, q, profs.a0 + 16.0),
+                                abs=1e-9)
 
 
 class TestExactOracle:

@@ -180,6 +180,42 @@ def test_config_rejects_unknown_keys(files, capsys):
     assert "'threads'" in err and "'hh'" in err and "'h'" not in err
 
 
+def _homogenize_csv(files, capsys, *extra):
+    assert main(["homogenize", "--graph", files["bouquet.json"],
+                 "--hamiltonians", files["bouquet_ham.json"],
+                 "--samples", "0.5,0.25@1.0", "--eps", "0.25", *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_config_sets_options_that_have_defaults(files, capsys):
+    cfg = files["tmp"] / "cone.json"
+    cfg.write_text(json.dumps({"datum": "cone", "c": 2.0}))
+    assert (_homogenize_csv(files, capsys, "--config", str(cfg))
+            == _homogenize_csv(files, capsys, "--datum", "cone", "--c", "2.0"))
+    # an explicit flag beats the config
+    assert (_homogenize_csv(files, capsys, "--config", str(cfg), "--c", "1.0")
+            == _homogenize_csv(files, capsys, "--datum", "cone"))
+
+
+def test_config_values_are_validated(files, capsys):
+    cfg = files["tmp"] / "box.json"
+    cfg.write_text(json.dumps({"h": ["3,0"], "search_box": -1}))
+    assert main(["beta", "--graph", files["bouquet.json"],
+                 "--hamiltonians", files["bouquet_ham.json"],
+                 "--config", str(cfg)]) == 2
+    assert "search_box must be positive" in capsys.readouterr().err
+
+
+def test_repeatable_flag_replaces_config_list(files, capsys):
+    cfg = files["tmp"] / "h.json"
+    cfg.write_text(json.dumps({"h": ["1,1"]}))
+    assert main(["beta", "--graph", files["bouquet.json"],
+                 "--hamiltonians", files["bouquet_ham.json"],
+                 "--config", str(cfg), "--h", "2,0"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("2,0,")
+
+
 def _bouquet_args(files, *rest):
     return [rest[0], "--graph", files["bouquet.json"],
             "--hamiltonians", files["bouquet_ham.json"], *rest[1:]]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hjnet.edge_calculus import (EdgeProfile, QuadraticEdgeModel,
-                                 TabulatedEdgeModel, TrigPoly, build_profiles,
-                                 critical_value, flux_limiter)
+                                 TabulatedEdgeModel, TrigPoly, _concave_max,
+                                 build_profiles, critical_value, flux_limiter)
 from hjnet.errors import DomainError, LevelBelowMinimum, NonConvexModel
 
 from oracles import dp_edge_action_refined, simpson_sigma
@@ -349,3 +349,17 @@ def test_negative_speed_rejected():
         p.lagrangian(-0.5)
     with pytest.raises(DomainError):
         p.action(0.0)
+
+
+def test_concave_max_evaluates_each_bracket_point_once():
+    seen = []
+
+    def f(a):
+        seen.append(a)
+        return -(a - 3.0) ** 2
+
+    assert _concave_max(f, 0.0, hi_hint=1.0) == pytest.approx(0.0, abs=1e-12)
+    # doublings 1 -> 2 -> 4: each new upper end is one evaluation, since the
+    # midpoint lo + step / 2 is the previous upper end
+    assert seen[:4] == [1.0, 0.5, 2.0, 4.0]
+    assert len(set(seen)) == len(seen)

@@ -3,6 +3,7 @@ import pytest
 
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import CrystalVertex
+from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import RadiusExhausted
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                               TabulatedDatum, _running_max,
@@ -157,3 +158,15 @@ class TestConvergenceExperiment:
         report = convergence_experiment(g, tm, profs, LinearDatum((1.0, 0.0)),
                                         grid)
         assert report.sup_error_per_eps[0.0625] < 1e-2
+
+    def test_off_lattice_sample_compares_at_evaluated_point(self, honeycomb):
+        # (0.3, 0.1) lies on neither lattice; u_eps at round(h / eps) must be
+        # compared with u at eps round(h / eps), where a linear datum is exact
+        g, tm = honeycomb
+        profs = build_profiles(g, {
+            "e0": QuadraticEdgeModel(potential=TrigPoly(cos=(-0.25,))),
+            "e1": QuadraticEdgeModel(), "e2": QuadraticEdgeModel()})
+        grid = ExperimentGrid((((0.3, 0.1), 1.0),), (0.25, 0.125))
+        report = convergence_experiment(g, tm, profs, LinearDatum((0.6, 0.8)), grid)
+        assert all(err <= 1e-9 for err in report.sup_error_per_eps.values())
+        assert [r["h"] for r in report.rows] == [(0.3, 0.1)] * 2
