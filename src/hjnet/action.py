@@ -128,14 +128,20 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         raise Unreachable(
             f"no lifted path from ({query.x}, 0) to ({query.y}, {query.h}) "
             f"within radius {radius}")
-    potential = crystal_potential(g, tm, profiles)
+    offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
+    return _dual_max(box, profiles, crystal_potential(g, tm, profiles), target,
+                     query.T, offset)
 
+
+def _dual_max(box: BoxGraph, profiles: EdgeProfiles, potential: Potential,
+              target, T: float, hi_hint: float) -> float:
+    """max_{a >= a0} [Psi_a - a T], Psi_a the box's walk weight at node ``target``:
+    ``_concave_max`` with one hop-bounded Dijkstra search per evaluation."""
     def dual(a: float) -> float:
         psi = box.distances(profiles.sigma_all([a]).T, potential, at=target)
-        return float(psi[0]) - a * query.T
+        return float(psi[0]) - a * T
 
-    offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
-    return _concave_max(dual, profiles.a0, hi_hint=offset)
+    return _concave_max(dual, profiles.a0, hi_hint=hi_hint)
 
 
 @dataclass

@@ -177,8 +177,9 @@ def _datum(args, b):
     if args.datum == "tabulated":
         with open(args.datum_file) as fh:
             obj = json.load(fh)
-        return TabulatedDatum(tuple(map(tuple, obj["anchors"])),
-                              tuple(obj["values"]), float(obj["lipschitz"]))
+        anchors = tuple(_check_dim(tuple(x), b, "--datum-file anchor")
+                        for x in obj["anchors"])
+        return TabulatedDatum(anchors, tuple(obj["values"]), float(obj["lipschitz"]))
     raise HJNetError(f"unknown datum {args.datum!r}")
 
 

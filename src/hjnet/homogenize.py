@@ -7,13 +7,14 @@ The rescaled solution with initial datum g_eps(z) = g(eps pi2(z)) is
 with the minimum restricted to a ball eps d_V(z0, z) <= R that provably
 contains the minimizers (the ball radius follows from the datum's Lipschitz
 bound and the conjugate speeds of the effective Hamiltonian, and expands
-once if it binds).  Hop counts and the dual-level walk weights Phi come from
-one reverse crystal box around z (``crystal.BoxGraph``): one unweighted
-search, then one Dijkstra search per level that stops once every vertex of
-the ball (at most R/eps arcs from z) is settled.  The levels are streamed:
-each is folded into a running max and first argmax per vertex, so no
-(levels x box) array is stored.  The limit solution is the
-inf-convolution
+once if it binds).  Phi(z0, z, T) is min_action's dual bound
+max_{a >= a0} [Psi_a - aT], Psi_a the least walk weight from z0 into z in one
+reverse crystal box around z (``crystal.BoxGraph``).  The minimum is found by
+lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
+the box, each level a Dijkstra search that stops once the ball (at most R/eps
+arcs from z) is settled, into a running max: a lower bound per vertex.  The
+least bound is then made exact (``action._dual_max``) until it already is,
+which makes it the minimum.  The limit solution is the inf-convolution
 
     u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
 
@@ -35,12 +36,12 @@ from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
 from .errors import BudgetExceeded, RadiusExhausted
-from .action import crystal_potential
+from .action import _dual_max, crystal_potential
 from .mather import MatherSolver, _refine_max, get_solver
 
 logger = logging.getLogger(__name__)
 
-_DUAL_LEVELS = 48  # levels of each dual a-grid of epsilon_solution
+_DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
 _REACH_DIRS = 16  # random momentum directions of _reach_scales, plus the axes
 _HOPF_TOL = 1e-4  # limit_solution refines while grid half-width times t exceeds it
 
@@ -87,6 +88,12 @@ class TabulatedDatum(InitialDatum):
     anchors: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     lipschitz: float
+
+    def __post_init__(self):
+        if len(set(map(len, self.anchors))) != 1 or len(self.values) != len(self.anchors):
+            raise ValueError("tabulated anchors need one common length and one value each")
+        if not 0 <= self.lipschitz < np.inf:
+            raise ValueError(f"Lipschitz bound {self.lipschitz} must be finite and >= 0")
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -160,7 +167,8 @@ def _box_lattice(center, radius: int):
 def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      datum: InitialDatum, z: CrystalVertex, t: float,
                      eps: float, R: float | None = None) -> float:
-    """Value of the rescaled solution at crystal vertex z and time t."""
+    """Value of the rescaled solution at crystal vertex z and time t: the
+    least screened lower bound, refined exactly until the least one is exact."""
     if t <= 0 or eps <= 0:
         raise ValueError("t and eps must be positive")
     if R is not None and R <= 0:
@@ -184,83 +192,35 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         f"minimizer keeps touching the search ball even after expansion (R={R})")
 
 
-def _running_max(arrays, shape):
-    """Elementwise max over a stream of arrays of ``shape`` and the index of
-    the first array that attains it: np.max and np.argmax over their stack
-    (for arrays without NaN), without the stack."""
-    best = np.full(shape, -np.inf)
-    arg = np.zeros(shape, dtype=np.intp)
-    for k, phi in enumerate(arrays):
-        better = phi > best  # strict, so ties keep the first index
-        np.copyto(best, phi, where=better)
-        arg[better] = k
-    return best, arg
-
-
 def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
                            a_cap):
     T = t / eps
-    b = tm.betti
     hops_allowed = R / eps
     rbox = int(np.ceil(hops_allowed)) + 1
-    h_z = np.asarray(z.h, dtype=int)
     offset = max(a_cap - profiles.a0, 1.0)
 
     box = BoxGraph(g, tm, z, rbox, reverse=True)
     hops = box.hops()
-    g_vals = (datum.value(eps * _box_lattice(h_z, rbox).astype(float)) if b
+    g_vals = (datum.value(eps * _box_lattice(z.h, rbox).astype(float)) if tm.betti
               else np.asarray(datum.value(np.zeros(0))))
 
-    inside = hops <= hops_allowed
+    # screen: the best level of one a-grid bounds each vertex's dual from below
+    a_vals = _a_grid(profiles.a0, offset, _DUAL_LEVELS)
+    best = np.full(box.shape, -np.inf)
+    for phi, a in zip(box.levels(profiles.sigma_all(a_vals).T, potential,
+                                 max_hops=hops_allowed), a_vals):
+        np.maximum(best, np.subtract(phi, a * T, out=phi), out=best)
+    u = np.where(hops <= hops_allowed, g_vals + eps * best, np.inf)
+    if not np.isfinite(u.min()):
+        raise RadiusExhausted("no admissible starting vertex in the ball")
 
-    def candidates(a_vals):
-        """Datum plus eps times the best dual value over a_vals, per starting
-        vertex (inf outside the ball), and the first index of that best level."""
-        levels = box.levels(profiles.sigma_all(a_vals).T, potential,
-                            max_hops=hops_allowed)
-        best, arg = _running_max(
-            (np.subtract(phi, a * T, out=phi) for phi, a in zip(levels, a_vals)),
-            box.shape)
-        u = g_vals + eps * best
-        return np.where(inside, u, np.inf), arg
-
-    for _ in range(12):
-        a_vals = _a_grid(profiles.a0, offset, _DUAL_LEVELS)
-        u_cand, argmax_a = candidates(a_vals)
-        flat = int(np.argmin(u_cand))
-        if not np.isfinite(u_cand.ravel()[flat]):
-            raise RadiusExhausted("no admissible starting vertex in the ball")
-        if argmax_a.ravel()[flat] < _DUAL_LEVELS - 1:
-            break
-        offset *= 2.0
-    else:
-        raise BudgetExceeded("dual level grid kept binding")
-
-    # refine the dual level around successive winners with denser local grids;
-    # finite level grids underestimate the per-candidate sup, so refined
-    # values replace coarse ones by a per-candidate maximum
-    widx = np.unravel_index(flat, u_cand.shape)
-    a_current = a_vals
-    arg_current = argmax_a
-    for _ in range(3):
-        i = int(arg_current[widx])
-        lo = a_current[max(i - 1, 0)]
-        hi = a_current[min(i + 1, a_current.size - 1)]
-        if hi <= lo:
-            break
-        a_ref = np.linspace(lo, hi, _DUAL_LEVELS)
-        u2, arg2 = candidates(a_ref)
-        refined = u2 > u_cand
-        u_cand = np.maximum(u_cand, u2)
-        flat = int(np.argmin(u_cand))
-        new_widx = np.unravel_index(flat, u_cand.shape)
-        if new_widx == widx and not refined[widx]:
-            break
-        widx = new_widx
-        a_current = a_ref
-        arg_current = arg2
-    touches = bool(hops[widx] > hops_allowed - 1.5)
-    return float(u_cand[widx]), touches
+    # certify: a least lower bound that is exact is the minimum
+    exact = np.zeros(box.shape, dtype=bool)
+    while not exact[(w := np.unravel_index(np.argmin(u), u.shape))]:
+        dual = _dual_max(box, profiles, potential, w, T, offset)
+        u[w] = max(u[w], g_vals[w[1:]] + eps * dual)
+        exact[w] = True
+    return float(u[w]), bool(hops[w] > hops_allowed - 1.5)
 
 
 def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,

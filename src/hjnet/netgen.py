@@ -112,6 +112,10 @@ class NetworkWindow:
 def embed_crystal(be: BaseEmbedding, g: BaseGraph, tm: ThetaMap,
                   W: int, n_samples: int | None = None) -> NetworkWindow:
     """Vertex images and sampled arcs for all lattice indices |h|_inf <= W."""
+    if W < 0:
+        raise ValueError(f"window W = {W} must be >= 0")
+    if n_samples is not None and n_samples < 2:
+        raise ValueError(f"an arc needs at least two samples, not {n_samples}")
     b = tm.betti
     k = be.dimension
     offsets = list(itertools.product(range(-W, W + 1), repeat=b))

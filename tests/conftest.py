@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -61,6 +63,32 @@ def honeycomb_cos(honeycomb):
         "e2": QuadraticEdgeModel(),
     }
     return g, tm, build_profiles(g, models)
+
+
+@pytest.fixture(scope="session")
+def honeycomb_cos_quarter(honeycomb):
+    """Honeycomb with a quarter-amplitude cosine potential on e0.
+
+    Small enough that a moderately steep datum pulls the homogenized
+    minimizer into genuine motion (the flat region of the effective
+    Hamiltonian does not swallow the datum's slopes).
+    """
+    g, tm = honeycomb
+    models = {"e0": QuadraticEdgeModel(potential=TrigPoly(cos=(-0.25,))),
+              "e1": QuadraticEdgeModel(), "e2": QuadraticEdgeModel()}
+    return g, tm, build_profiles(g, models)
+
+
+@pytest.fixture(scope="session")
+def k4_drift():
+    """K4 (b = 3) with drift 1 on every edge: sigma(e, a0) = -1 < 0."""
+    g = build_graph({"vertices": list("abcd"),
+                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
+                               for u, v in itertools.combinations("abcd", 2)]})
+    tm = theta_map(g, spanning_tree(g))
+    profs = build_profiles(g, {e: QuadraticEdgeModel(drift=TrigPoly(const=1.0))
+                               for e in g.orientation})
+    return g, tm, profs
 
 
 @pytest.fixture(scope="session")

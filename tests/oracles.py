@@ -3,8 +3,9 @@
 import numpy as np
 from scipy.integrate import simpson
 
+from hjnet.action import LiftedReach, crystal_potential
 from hjnet.cell_problem import effective_hamiltonian
-from hjnet.crystal import Crystal, CrystalVertex
+from hjnet.crystal import BoxGraph, Crystal, CrystalVertex
 from hjnet.edge_calculus import _concave_max
 from hjnet.errors import BudgetExceeded, Unreachable
 from hjnet.mather import get_solver
@@ -294,3 +295,40 @@ def metric_invariance_check(g, tm, x0, h, h_bar):
     d2 = c.graph_distance(CrystalVertex(x0, (0,) * tm.betti),
                           CrystalVertex(x0, tuple(b - a for a, b in zip(h, h_bar))))
     return d1 == d2
+
+
+def epsilon_solution_dense(g, tm, profiles, datum, z, t, eps, R, top, n=101,
+                           m=11, rounds=17):
+    """min over the ball eps d(z0, z) <= R of g(eps h0) + eps max_a [Psi_a - a t/eps].
+
+    Psi_a is the walk weight from z0 = (x0, h0) into z on epsilon_solution's
+    reverse box, from ``LiftedReach`` over n levels on [a0, top] for every
+    vertex.  The least candidate then gets ``rounds`` grids of m levels
+    between the neighbours of its best level (the dual is concave in a, so
+    each bracket holds its maximizer), until the least candidate is refined.
+    """
+    T, ball = t / eps, R / eps
+    r = int(np.ceil(ball)) + 1
+    box = BoxGraph(g, tm, z, r, reverse=True)
+    cells = np.moveaxis(np.indices(box.shape[1:]), 0, -1) - r + np.asarray(z.h)
+    g_eps = datum.value(eps * cells.astype(float))
+    potential = crystal_potential(g, tm, profiles)
+    best = np.full(box.shape, -np.inf)
+    for a in np.array_split(np.linspace(profiles.a0, top, n), max(1, n // 10)):
+        vals = (LiftedReach(box, profiles, a, potential).dist
+                - (a * T).reshape((-1,) + (1,) * len(box.shape)))
+        best = np.maximum(best, vals.max(axis=0))
+    u = np.where(box.hops() <= ball, g_eps + eps * best, np.inf)
+    refined = np.zeros(box.shape, dtype=bool)
+    while not refined[w := np.unravel_index(np.argmin(u), u.shape)]:
+        vertex, h0 = g.vertices[w[0]], cells[w[1:]]
+        lo, hi = profiles.a0, top
+        for k in range(rounds):
+            a = np.linspace(lo, hi, m)
+            vals = LiftedReach(box, profiles, a, potential).at(vertex, h0) - a * T
+            i = int(np.argmax(vals))
+            assert k or i < m - 1  # the first grid brackets the maximizer
+            u[w] = max(u[w], g_eps[w[1:]] + eps * float(vals[i]))
+            lo, hi = a[max(i - 1, 0)], a[min(i + 1, m - 1)]
+        refined[w] = True
+    return float(u[w])

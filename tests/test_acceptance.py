@@ -25,20 +25,6 @@ FREE = QuadraticEdgeModel()
 COS1 = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))
 
 
-@pytest.fixture(scope="module")
-def honeycomb_cos_quarter(honeycomb):
-    """Honeycomb with a quarter-amplitude cosine potential on e0.
-
-    Small enough that a moderately steep datum pulls the homogenized
-    minimizer into genuine motion (the flat region of the effective
-    Hamiltonian does not swallow the datum's slopes).
-    """
-    g, tm = honeycomb
-    models = {"e0": QuadraticEdgeModel(potential=TrigPoly(cos=(-0.25,))),
-              "e1": QuadraticEdgeModel(), "e2": QuadraticEdgeModel()}
-    return g, tm, build_profiles(g, models)
-
-
 def _report(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -112,17 +110,6 @@ def test_psi_concave_in_a(honeycomb_cos):
     assert (psi[1:-1] >= (psi[:-2] + psi[2:]) / 2 - 1e-10).all()
 
 
-def _k4_drift():
-    """K4 (b = 3) with drift 1 on every edge: sigma(e, a0) = -1 < 0."""
-    g = build_graph({"vertices": list("abcd"),
-                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
-                               for u, v in itertools.combinations("abcd", 2)]})
-    tm = theta_map(g, spanning_tree(g))
-    profs = build_profiles(g, {e: QuadraticEdgeModel(drift=TrigPoly(const=1.0))
-                               for e in g.orientation})
-    return g, tm, profs
-
-
 def _grid_dual_max(g, tm, profs, q, top, n=101, rounds=8):
     """Max of Psi_a - a T over level grids of a LiftedReach on min_action's
     box: n levels on [a0, top], then n levels between the neighbours of the
@@ -147,8 +134,7 @@ def _grid_dual_max(g, tm, profs, q, top, n=101, rounds=8):
     ("k4_drift", "c", "c", 6.0, (1, 1, 0)),
 ])
 def test_min_action_matches_dense_level_grid(request, network, x, y, T, h):
-    g, tm, profs = (request.getfixturevalue(network) if network == "honeycomb_cos"
-                    else _k4_drift())
+    g, tm, profs = request.getfixturevalue(network)
     q = ActionQuery(x, y, T, h)
     got = min_action(g, tm, profs, q)
     assert got == pytest.approx(_grid_dual_max(g, tm, profs, q, profs.a0 + 16.0),

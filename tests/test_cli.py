@@ -282,3 +282,52 @@ def test_homogenize_rejects_nonpositive_radius(files, capsys, radius):
     assert main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25@1",
                               "--eps", "0.25,0.125", f"--radius={radius}")) == 2
     assert "search radius" in capsys.readouterr().err
+
+
+def _tabulated_args(files, datum):
+    path = files["tmp"] / "datum.json"
+    path.write_text(json.dumps(datum))
+    return _bouquet_args(files, "homogenize", "--datum", "tabulated",
+                         "--datum-file", str(path), "--samples", "0.5,0.25@1",
+                         "--eps", "0.25")
+
+
+def test_homogenize_rejects_tabulated_anchor_dimension(files, capsys):
+    # 1-D anchors would broadcast against the 2-D h of the bouquet
+    datum = {"anchors": [[0.0], [1.0]], "values": [0.0, 1.0], "lipschitz": 1.0}
+    assert main(_tabulated_args(files, datum)) == 2
+    err = capsys.readouterr().err
+    assert "--datum-file anchor" in err and "wrong dimension (betti = 2)" in err
+
+
+@pytest.mark.parametrize("datum, what", [
+    ({"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": [0.0], "lipschitz": 1.0},
+     "one value each"),
+    ({"anchors": [], "values": [], "lipschitz": 1.0}, "one value each"),
+    ({"anchors": [[0.0, 0.0]], "values": [0.0], "lipschitz": -1.0},
+     "Lipschitz bound -1.0"),
+])
+def test_homogenize_rejects_malformed_tabulated_datum(files, capsys, datum, what):
+    assert main(_tabulated_args(files, datum)) == 2
+    assert what in capsys.readouterr().err
+
+
+def test_homogenize_tabulated_datum(files, capsys):
+    datum = {"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": [0.0, 0.5],
+             "lipschitz": 1.0}
+    assert main(_tabulated_args(files, datum)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "eps,h_1,h_2,t,u_eps,u_limit,abs_error"
+    assert lines[1].startswith("0.25,0.5,0.25,1,")
+
+
+@pytest.mark.parametrize("flag, value, what", [
+    ("--window", "-1", "window W = -1"),
+    ("--arc-samples", "1", "at least two samples, not 1"),
+    ("--arc-samples", "0", "at least two samples, not 0"),
+])
+def test_embed_rejects_bad_window_and_samples(files, capsys, flag, value, what):
+    argv = ["embed", "--graph", files["honeycomb.json"],
+            "--embedding", files["emb.json"], "--window", "1", flag, value]
+    assert main(argv) == 2
+    assert what in capsys.readouterr().err

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from hjnet import homogenize
 from hjnet.cell_problem import effective_hamiltonian
-from hjnet.crystal import CrystalVertex
+from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import RadiusExhausted
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
-                              TabulatedDatum, _running_max,
-                              convergence_experiment, epsilon_solution,
-                              limit_solution)
+                              TabulatedDatum, convergence_experiment,
+                              epsilon_solution, limit_solution)
+
+from oracles import epsilon_solution_dense
 
 ZERO = LinearDatum((0.0, 0.0))
 
@@ -101,6 +103,14 @@ class TestEpsilonSolution:
             epsilon_solution(g, tm, profs, steep, CrystalVertex("v", (0, 0)),
                              1.0, 0.5, R=0.5)
 
+    def test_ball_check_reads_the_winner(self, bouquet_free):
+        # R = 1.6 binds once; in the doubled ball the last vertex refined lies
+        # on the rim but the winner does not, so the ball must not bind again
+        g, tm, profs = bouquet_free
+        got = epsilon_solution(g, tm, profs, LinearDatum((6.0, 0.0)),
+                               CrystalVertex("v", (4, 2)), 0.5, 0.125, R=1.6)
+        # <p, h> - t H_eff(p) at h = (0.5, 0.25), with H_eff(p) = |p|_inf^2 / 2
+        assert got == pytest.approx(6.0 * 0.5 - 0.5 * 6.0**2 / 2, abs=1e-9)
 
     @pytest.mark.parametrize("R", [0.0, -1.0])
     def test_rejects_nonpositive_radius(self, bouquet_free, R):
@@ -110,14 +120,69 @@ class TestEpsilonSolution:
                              1.0, 0.5, R=R)
 
 
-def test_running_max_keeps_first_maximal_level():
-    levels = [np.array([1.0, 3.0, np.inf, -np.inf, 2.0]),
-              np.array([2.0, 3.0, np.inf, -np.inf, 2.0]),
-              np.array([2.0, 1.0, np.inf, -np.inf, 2.0])]
-    best, arg = _running_max(iter(levels), (5,))
-    np.testing.assert_array_equal(best, np.max(levels, axis=0))
-    np.testing.assert_array_equal(arg, np.argmax(levels, axis=0))
-    np.testing.assert_array_equal(arg, [1, 0, 0, 0, 0])
+def _vertex(x, h, eps):
+    return CrystalVertex(x, tuple(int(k) for k in np.round(np.asarray(h) / eps)))
+
+
+TABLE = TabulatedDatum(((0.0, 0.0), (1.0, 0.5), (-0.5, 1.0)), (0.3, -0.2, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("network, datum, x, h, t, eps, R", [
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.25), 1.0, 1 / 4, 3.0),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.25), 1.0, 1 / 8, 3.0),
+    ("bouquet_free", TABLE, "v", (0.5, 0.25), 1.0, 1 / 4, 3.0),
+    # negative reach weights: every search runs on Johnson-reduced weights
+    ("k4_drift", ConeDatum(1.5), "a", (0.5, 0.25, 0.0), 0.5, 1 / 4, 1.75),
+], ids=["honeycomb-quarter-eps4", "honeycomb-quarter-eps8", "bouquet-tabulated",
+        "k4-drift-eps4"])
+def test_epsilon_solution_matches_dense_oracle(request, network, datum, x, h, t,
+                                               eps, R):
+    g, tm, profs = request.getfixturevalue(network)
+    z = _vertex(x, h, eps)
+    got = epsilon_solution(g, tm, profs, datum, z, t, eps, R=R)
+    want = epsilon_solution_dense(g, tm, profs, datum, z, t, eps, R, profs.a0 + 16.0)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_certification_not_the_screen_decides(honeycomb_cos_quarter, monkeypatch):
+    # a 2-level screen leaves loose lower bounds; the exact refinement of the
+    # least bound must still reach the same minimum
+    z = _vertex("x1", (0.5, 0.25), 1 / 8)
+    args = (*honeycomb_cos_quarter, ConeDatum(1.5), z, 1.0, 1 / 8)
+    want = epsilon_solution(*args)
+    monkeypatch.setattr(homogenize, "_DUAL_LEVELS", 2)
+    assert epsilon_solution(*args) == pytest.approx(want, abs=1e-12)
+
+
+def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
+    # criterion 7(c) at eps = 1/8; the ball R/eps = 24 does not expand, so
+    # every full-ball level belongs to the one screen
+    rows = []
+    levels = BoxGraph.levels
+
+    def spy(self, weights, potential, max_hops=np.inf):
+        for d in levels(self, weights, potential, max_hops):
+            rows.append(max_hops)
+            yield d
+
+    monkeypatch.setattr(BoxGraph, "levels", spy)
+    epsilon_solution(*honeycomb_cos_quarter, ConeDatum(1.5),
+                     _vertex("x1", (0.5, 0.25), 1 / 8), 1.0, 1 / 8, R=3.0)
+    assert max(rows) == 24.0
+    assert rows.count(24.0) == homogenize._DUAL_LEVELS
+
+
+@pytest.mark.parametrize("anchors, values, lipschitz", [
+    ((), (), 1.0),
+    (((0.0, 0.0), (1.0,)), (0.0, 1.0), 1.0),
+    (((0.0, 0.0), (1.0, 0.0)), (0.0,), 1.0),
+    (((0.0, 0.0),), (0.0,), -0.5),
+    (((0.0, 0.0),), (0.0,), float("inf")),
+    (((0.0, 0.0),), (0.0,), float("nan")),
+], ids=["empty", "ragged", "value-count", "negative-L", "infinite-L", "nan-L"])
+def test_tabulated_datum_rejects_malformed_input(anchors, values, lipschitz):
+    with pytest.raises(ValueError):
+        TabulatedDatum(anchors, values, lipschitz)
 
 
 class TestConvergenceExperiment:
