@@ -22,8 +22,6 @@ from .crystal import (
     Crystal,
     CrystalEdge,
     CrystalVertex,
-    LiftedPath,
-    project,
     stable_norm_estimate,
 )
 from .edge_calculus import (
@@ -38,7 +36,6 @@ from .edge_calculus import (
     load_hamiltonians,
 )
 from .cell_problem import (
-    CellWeights,
     effective_hamiltonian,
     enumerate_circuits,
     min_cycle_weight,

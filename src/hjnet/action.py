@@ -65,7 +65,7 @@ def path_action(profiles: EdgeProfiles, support: Path, T: float) -> float:
     """
     if not support.edges:
         raise ValueError("support must be nonempty")
-    if T <= 0:
+    if not T > 0:
         raise ValueError("T must be positive")
     a_hat = max(profiles[e].a_e for e in support.edges)
 
@@ -104,7 +104,8 @@ class LiftedReach:
         if potential is None:
             potential = crystal_potential(box.g, box.tm, profiles)
         # one row per level, columns in the graph's edge_order like box.edges
-        self.dist = box.distances(profiles.sigma_all(self.a_values).T, potential)
+        self.dist = np.stack(list(box.levels(profiles.sigma_all(self.a_values).T,
+                                             potential)))
 
     def at(self, vertex: str, h):
         """Distance profile over the a-grid for one crystal vertex."""
@@ -115,7 +116,7 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                query: ActionQuery) -> float:
     """Dual minimal-action bound max_{a >= a0} [Psi_a(x, y, h) - a T], concave
     in a; ``_concave_max`` runs one Dijkstra search per evaluation."""
-    if query.T <= 0:
+    if not query.T > 0:
         raise ValueError("T must be positive")
     h = np.asarray(query.h, dtype=int)
     radius = query.radius()

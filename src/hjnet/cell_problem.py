@@ -24,8 +24,6 @@ variants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .base_graph import BaseGraph, Path, ThetaMap
@@ -34,24 +32,6 @@ from .errors import BudgetExceeded
 
 DEFAULT_BISECTION_TOL = 1e-8
 _CIRCUIT_BUDGET = 200_000  # enumerate_circuits raises beyond this many
-
-
-@dataclass
-class CellWeights:
-    """Edge weights sigma(e, a) - <p, theta(e)> for every directed edge."""
-
-    p: np.ndarray
-    a: float
-    weights: dict[str, float]
-
-    @classmethod
-    def build(cls, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles, p, a: float):
-        p = np.asarray(p, dtype=float)
-        w = _edge_weights(tm, profiles, p, a)
-        return cls(p, float(a), dict(zip(g.edge_order, w.tolist())))
-
-    def of_path(self, path: Path) -> float:
-        return sum(self.weights[e] for e in path.edges)
 
 
 def _edge_weights(tm: ThetaMap, profiles: EdgeProfiles, p: np.ndarray,

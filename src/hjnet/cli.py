@@ -22,12 +22,20 @@ from .edge_calculus import load_hamiltonians
 from .errors import HJNetError
 from .homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                          TabulatedDatum, convergence_experiment)
-from .mather import get_solver
+from .mather import DEFAULT_SEARCH_BOX, get_solver
 from .netgen import BaseEmbedding, embed_crystal, export_window, orbit_length_check
 
 
-def _vector(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",")) if text else ()
+def _number(text, what: str) -> float:
+    """float(text), or HJNetError naming ``what`` if it is not finite."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise HJNetError(f"{what} {text} is not a finite number")
+    return x
+
+
+def _vector(text: str, what: str) -> tuple[float, ...]:
+    return tuple(_number(x, what) for x in text.split(",")) if text else ()
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -106,9 +114,10 @@ def cmd_theta(args):
 
 
 def _p_list(args, b):
-    ps = [_vector(s) for s in (args.p or [])]
+    ps = [_vector(s, "--p") for s in (args.p or [])]
     if args.p_grid:
-        lo, hi, n = float(args.p_grid[0]), float(args.p_grid[1]), int(args.p_grid[2])
+        lo, hi = (_number(x, "--p-grid") for x in args.p_grid[:2])
+        n = int(args.p_grid[2])
         axis = np.linspace(lo, hi, n)
         mesh = np.meshgrid(*([axis] * b), indexing="ij")
         ps.extend(tuple(float(c) for c in pt)
@@ -129,11 +138,11 @@ def cmd_effective_hamiltonian(args):
 
 def cmd_beta(args):
     g, tm, profiles = _load_setup(args)
-    hs = [_check_dim(_vector(s), tm.betti, "h vector") for s in (args.h or [])]
+    hs = [_check_dim(_vector(s, "--h"), tm.betti, "h vector") for s in (args.h or [])]
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
-    solver = get_solver(g, tm, profiles)
-    vals = solver.beta_batch(np.array(hs), search_box=args.search_box).tolist()
+    box = _number(args.search_box, "--search-box")
+    vals = get_solver(g, tm, profiles).beta_batch(np.array(hs), search_box=box).tolist()
     header = [f"h_{i+1}" for i in range(tm.betti)] + ["beta"]
     _write_csv(header, [list(h) + [v] for h, v in zip(hs, vals)], args.out)
     return 0
@@ -142,20 +151,20 @@ def cmd_beta(args):
 def cmd_action(args):
     g, tm, profiles = _load_setup(args)
     h = _check_dim(_int_vector(args.h), tm.betti, "h vector")
-    query = ActionQuery(args.x, args.y, args.T, h,
-                        rotation_radius=args.rotation_radius)
-    phi = min_action(g, tm, profiles, query)
+    T = _number(args.T, "--T")
+    phi = min_action(g, tm, profiles, ActionQuery(args.x, args.y, T, h,
+                                                  rotation_radius=args.rotation_radius))
     header = (["x", "y", "T"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["phi", "phi_over_T"])
-    _write_csv(header, [[args.x, args.y, args.T] + list(h) + [phi, phi / args.T]],
-               args.out)
+    _write_csv(header, [[args.x, args.y, T] + list(h) + [phi, phi / T]], args.out)
     return 0
 
 
 def cmd_asymptotics(args):
     g, tm, profiles = _load_setup(args)
-    direction = _check_dim(_vector(args.h_direction), tm.betti, "h direction")
-    T_list = _vector(args.T_list)
+    direction = _check_dim(_vector(args.h_direction, "--h-direction"), tm.betti,
+                           "h direction")
+    T_list = _vector(args.T_list, "--T-list")
     if not T_list:
         raise HJNetError("--T-list names no horizon T")
     rows = asymptotics_scan(g, tm, profiles, args.x, args.y, direction, T_list)
@@ -168,10 +177,10 @@ def cmd_asymptotics(args):
 
 def _datum(args, b):
     if args.datum == "linear":
-        p = _vector(args.p_datum) if args.p_datum else (0.0,) * b
+        p = _vector(args.p_datum, "--p-datum") if args.p_datum else (0.0,) * b
         return LinearDatum(_check_dim(p, b, "--p-datum"))
     if args.datum == "cone":
-        return ConeDatum(args.c)
+        return ConeDatum(_number(args.c, "--c"))
     if args.datum == "zero":
         return LinearDatum((0.0,) * b)
     if args.datum == "tabulated":
@@ -191,9 +200,10 @@ def cmd_homogenize(args):
         if len(fields) != 2:
             raise HJNetError(f"--samples entry {part!r} is not of the form h@t")
         hpart, tpart = fields
-        samples.append((_check_dim(_vector(hpart), tm.betti, "sample h"),
-                        float(tpart)))
-    grid = ExperimentGrid(tuple(samples), _vector(args.eps), radius=args.radius)
+        samples.append((_check_dim(_vector(hpart, "--samples h"), tm.betti, "sample h"),
+                        _number(tpart, "--samples t")))
+    radius = None if args.radius is None else _number(args.radius, "--radius")
+    grid = ExperimentGrid(tuple(samples), _vector(args.eps, "--eps"), radius=radius)
     report = convergence_experiment(g, tm, profiles, _datum(args, tm.betti), grid)
     header = (["eps"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["t", "u_eps", "u_limit", "abs_error"])
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta", help="Mather beta function at h")
     common(p)
     p.add_argument("--h", action="append", help="h vector (repeatable)")
-    p.add_argument("--search-box", type=float, default=4.0)
+    p.add_argument("--search-box", type=float, default=DEFAULT_SEARCH_BOX)
     p.set_defaults(fn=cmd_beta)
 
     p = sub.add_parser("action", help="discrete minimal action")

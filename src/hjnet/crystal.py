@@ -1,9 +1,9 @@
 """The maximal topological crystal V0 x Z^b and its one shortest-path engine.
 
 The crystal is never materialized as a whole: vertices are pairs (base
-vertex, h) with h in Z^b, and the neighborhood of a vertex is produced from
-the base graph and the theta map.  Moving along edge e updates h by
-theta(e); reversal of the lifted edge (e, h) is (-e, h + theta(e)).
+vertex, h) with h in Z^b, and edges are lifted base edges (e, h).  Moving
+along e updates h by theta(e); reversal of the lifted edge (e, h) is
+(-e, h + theta(e)).
 
 Every crystal search runs on a ``BoxGraph``: the finite box
 V0 x {h : |h - h_s|_inf <= r} around a source (x_s, h_s), turned once into
@@ -25,7 +25,8 @@ search stops there (``dijkstra(limit=)``, the hop-count case of the
 consistent-heuristic pruning of Hart, Nilsson and Raphael 1968).  Every
 node within k arcs keeps its distance bit for bit; nodes farther out may
 read inf.  ``BoxGraph.levels`` yields one level at a time, so a caller can
-reduce over levels without stacking them.
+reduce over levels without stacking them; ``BoxGraph.distances`` reads one
+node of each.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .base_graph import BaseGraph, Path, ThetaMap
+from .base_graph import BaseGraph, ThetaMap
 from .errors import BudgetExceeded, ConvergenceFailure, NegativeReducedWeight
 
 DEFAULT_NODE_CAP = 10**6
@@ -59,12 +60,6 @@ class CrystalEdge:
     h: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LiftedPath:
-    start: CrystalVertex
-    edges: tuple[CrystalEdge, ...]
-
-
 class Crystal:
     """Implicit view of the maximal crystal over (graph, theta map)."""
 
@@ -84,46 +79,23 @@ class Crystal:
         h = _t(np.asarray(ce.h) + self.tm.theta[ce.base_edge])
         return CrystalEdge(self.g.reversed(ce.base_edge), h)
 
-    def neighbors(self, cv: CrystalVertex):
-        h = np.asarray(cv.h)
-        for e in self.g.star(cv.base):
-            yield CrystalVertex(self.g.terminus(e), _t(h + self.tm.theta[e]))
-
-    def lift_path(self, p0: Path, h, origin: str | None = None) -> LiftedPath:
-        """The unique lift of p0 starting at (origin(p0), h).
-
-        An empty path needs an explicit anchor vertex.
-        """
-        h = np.asarray(h, dtype=int)
-        if not p0.edges:
-            if origin is None:
-                raise ValueError("cannot lift an empty path without an anchor vertex")
-            return LiftedPath(CrystalVertex(origin, _t(h)), ())
-        start = CrystalVertex(self.g.origin(p0.edges[0]), _t(h))
-        edges = []
-        cur = h.copy()
-        for e in p0.edges:
-            edges.append(CrystalEdge(e, _t(cur)))
-            cur = cur + self.tm.theta[e]
-        return LiftedPath(start, tuple(edges))
-
-    def graph_distance(self, a: CrystalVertex, b: CrystalVertex,
-                       node_cap: int = DEFAULT_NODE_CAP) -> int:
+    def graph_distance(self, a: CrystalVertex, b: CrystalVertex) -> int:
         """Minimal number of crystal edges linking a to b.
 
         Searched in the box of radius |b.h - a.h|_inf + 2 around a; a distance
         d above the radius is searched once more in the box of radius d,
-        which certifies it.
+        which certifies it.  A box of more than ``DEFAULT_NODE_CAP`` vertices
+        raises BudgetExceeded.
         """
         if a == b:
             return 0
         radius = int(np.max(np.abs(np.subtract(b.h, a.h)), initial=0)) + 2
         for _ in range(2):
             n_nodes = len(self.g.vertices) * (2 * radius + 1) ** self.b
-            if n_nodes > node_cap:
+            if n_nodes > DEFAULT_NODE_CAP:
                 raise BudgetExceeded(
                     f"crystal box of {n_nodes} vertices around {a} exceeds the "
-                    f"node cap {node_cap} before reaching {b}")
+                    f"node cap {DEFAULT_NODE_CAP} before reaching {b}")
             box = BoxGraph(self.g, self.tm, a, radius)
             d = box.hops()[box.index(b.base, b.h)]
             if d <= radius:
@@ -215,6 +187,8 @@ class BoxGraph:
     its base edge in ``edges``, so a search gathers per-edge weights and no
     (levels x arcs) weight array is ever stored.  With ``reverse=True`` every
     arc points backwards and searches give walk weights INTO the source.
+    ``hops`` gives graph distances, ``levels`` streams weighted searches over
+    the box and ``distances`` reads one node of each.
     """
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
@@ -301,21 +275,12 @@ class BoxGraph:
                 d += unshift
             yield d
 
-    def distances(self, weights, potential: Potential, at=None) -> np.ndarray:
-        """Least walk weights from the source, stacked over the rows of ``weights``.
-
-        Returns an array of shape (levels,) + shape, or of shape (levels,)
-        for the single node ``at`` (an ``index`` of this box); a search for
-        ``at`` stops at the hop bound ``hops()[at]``.
-        """
-        if at is not None:
-            return np.array([d[at] for d in
-                             self.levels(weights, potential, self.hops()[at])])
-        weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        out = np.empty((weights.shape[0],) + self.shape)
-        for k, d in enumerate(self.levels(weights, potential)):
-            out[k] = d
-        return out
+    def distances(self, weights, potential: Potential, at) -> np.ndarray:
+        """Least walk weights from the source to the single node ``at`` (an
+        ``index`` of this box), shape (levels,): one search per row of
+        ``weights``, each stopping at the hop bound ``hops()[at]``."""
+        return np.array([d[at] for d in
+                         self.levels(weights, potential, self.hops()[at])])
 
     def _unshift(self, potential: Potential) -> np.ndarray:
         """Phi(x, h) - Phi(source) per box node, signed by the search direction.
@@ -330,11 +295,6 @@ class BoxGraph:
             phi = phi + (potential.p[k] * steps).reshape(
                 (1,) * (k + 1) + (-1,) + (1,) * (b - k - 1))
         return -phi if self.reverse else phi
-
-
-def project(lp: LiftedPath) -> Path:
-    """Forget the Z^b components."""
-    return Path(tuple(ce.base_edge for ce in lp.edges))
 
 
 @dataclass

@@ -17,16 +17,17 @@ Two model families are supported: quadratic-in-momentum with trigonometric
 polynomial drift/potential (closed-form level sets), and tabulated samples
 with piecewise-linear convex interpolation.
 
-sigma is a Simpson sum w over the grid s_i = i/(n-1).  Each ``EdgeProfile``
-samples the level-independent part of its integrand once (its grid kernel):
-for a quadratic model beff = drift and c0 = beff^2 - 2 kappa V, so that
-sigma(a) = ((sqrt(max(c0 + 2 kappa a, 0)) - beff) / kappa) @ w; a tabulated
-model keeps its s-blended columns and searches the crossing per level.  A
-reversed profile mirrors the forward kernel in s.  ``EdgeProfiles.sigma_all``
-evaluates every directed edge at once from the stacked kernels; the cell
-problem, the Mather ladder and the reach weights read it.  Path actions start
-at their support's largest a_e, which may lie below a0, so they sum the
-per-edge kernels.
+sigma is a Simpson sum w over the grid s_i = i/(n-1), n = DEFAULT_QUAD_SAMPLES
+in ``build_profiles``.  Each ``EdgeProfile`` samples the level-independent
+part of its integrand once (its grid kernel): for a quadratic model
+beff = drift and c0 = beff^2 - 2 kappa V, so that sigma(a) =
+((sqrt(max(c0 + 2 kappa a, 0)) - beff) / kappa) @ w; a tabulated model keeps
+its s-blended columns and searches the crossing per level.  A reversed
+profile mirrors the forward kernel in s and keeps a_e.
+``EdgeProfiles.sigma_all`` evaluates every directed edge at once from the
+stacked kernels; the cell problem, the Mather ladder and the reach weights
+read it.  Path actions start at their support's largest a_e, which may lie
+below a0, so they sum the per-edge kernels.
 """
 
 from __future__ import annotations
@@ -384,28 +385,25 @@ class EdgeProfile:
     """Cached numeric kernels for one directed edge."""
 
     def __init__(self, edge_id: str, model, n_quad: int = DEFAULT_QUAD_SAMPLES,
-                 critical: tuple[float, bool] | None = None):
-        """``critical`` is (a_e, fiber_min_is_constant), when already known."""
+                 a_e: float | None = None):
+        """``a_e`` is the critical value, when already known."""
         self.edge_id = edge_id
         self.model = model
         self.n_quad = n_quad
         self.grid = model.on_grid(n_quad)
-        if critical is None:
-            fm = np.asarray(model.fiber_min(np.linspace(0, 1, 513)))
+        if a_e is None:
             # a_e must bound the fiber minima at the quadrature nodes, which
             # the search grid of critical_value contains only for n_quad - 1
             # dividing 2048
             nodes = np.asarray(model.fiber_min(np.linspace(0, 1, n_quad)))
-            critical = (max(critical_value(model), float(nodes.max())),
-                        bool(fm.max() - fm.min() <= 1e-9))
-        self.a_e, self.fiber_min_is_constant = critical
+            a_e = max(critical_value(model), float(nodes.max()))
+        self.a_e = a_e
         self.b_e = self.sigma(self.a_e)
 
     def reversed(self, edge_id: str) -> EdgeProfile:
         """Profile of the reversed edge: by H_{-e}(s, rho) = H_e(1-s, -rho) its
         fiber minima are these mirrored in s, so a_e carries over."""
-        return EdgeProfile(edge_id, self.model.reversed(), self.n_quad,
-                           critical=(self.a_e, self.fiber_min_is_constant))
+        return EdgeProfile(edge_id, self.model.reversed(), self.n_quad, a_e=self.a_e)
 
     def sigma(self, a):
         """sigma(e, a) for scalar or array a (a >= a_e)."""
@@ -492,15 +490,14 @@ class EdgeProfiles:
         return out.reshape((-1,) + a_arr.shape)
 
 
-def build_profiles(g: BaseGraph, models: dict[str, object],
-                   n_quad: int = DEFAULT_QUAD_SAMPLES) -> EdgeProfiles:
+def build_profiles(g: BaseGraph, models: dict[str, object]) -> EdgeProfiles:
     """Profiles for all directed edges from models on the positive ones."""
     missing = [e for e in g.orientation if e not in models]
     if missing:
         raise ValueError(f"no Hamiltonian model for positive edges {missing}")
     profiles = {}
     for e in g.orientation:
-        profiles[e] = EdgeProfile(e, models[e], n_quad=n_quad)
+        profiles[e] = EdgeProfile(e, models[e])
         profiles[g.reversed(e)] = profiles[e].reversed(g.reversed(e))
     return EdgeProfiles(g, profiles)
 
@@ -542,8 +539,7 @@ def parse_models(entries, g: BaseGraph) -> dict[str, object]:
     return models
 
 
-def load_hamiltonians(path: str, g: BaseGraph,
-                      n_quad: int = DEFAULT_QUAD_SAMPLES) -> EdgeProfiles:
+def load_hamiltonians(path: str, g: BaseGraph) -> EdgeProfiles:
     with open(path) as fh:
         entries = json.load(fh)
-    return build_profiles(g, parse_models(entries, g), n_quad=n_quad)
+    return build_profiles(g, parse_models(entries, g))

@@ -92,6 +92,9 @@ class TabulatedDatum(InitialDatum):
     def __post_init__(self):
         if len(set(map(len, self.anchors))) != 1 or len(self.values) != len(self.anchors):
             raise ValueError("tabulated anchors need one common length and one value each")
+        if not all(np.isfinite(np.asarray(x, dtype=float)).all()
+                   for x in (self.values, self.anchors)):
+            raise ValueError("tabulated datum values and anchors must be finite")
         if not 0 <= self.lipschitz < np.inf:
             raise ValueError(f"Lipschitz bound {self.lipschitz} must be finite and >= 0")
 
@@ -114,9 +117,11 @@ class ExperimentGrid:
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        if any(t <= 0 for _, t in self.samples):
+        if not all(t > 0 for _, t in self.samples):
             raise ValueError("sample times must be positive")
-        if self.radius is not None and self.radius <= 0:
+        if not all(eps > 0 for eps in self.eps_list):
+            raise ValueError("every eps must be positive")
+        if self.radius is not None and not self.radius > 0:
             raise ValueError(f"search radius {self.radius} must be positive")
 
 
@@ -169,9 +174,9 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      eps: float, R: float | None = None) -> float:
     """Value of the rescaled solution at crystal vertex z and time t: the
     least screened lower bound, refined exactly until the least one is exact."""
-    if t <= 0 or eps <= 0:
+    if not (t > 0 and eps > 0):
         raise ValueError("t and eps must be positive")
-    if R is not None and R <= 0:
+    if R is not None and not R > 0:
         raise ValueError(f"search radius R = {R} must be positive")
     solver = get_solver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
@@ -227,7 +232,7 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
     """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)]: ``_refine_max`` on
     its negation over q = (h - h0)/t, with box doubling and a polished beta."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     solver = get_solver(g, tm, profiles)
     h = np.asarray(h, dtype=float)

@@ -23,8 +23,8 @@ beta is the Fenchel conjugate of alpha: ``_refine_max``, the grid search
 that ``homogenize.limit_solution`` shares, maximizes <p, h> - alpha(p) on
 one 9^b grid per h, each level in one ``alpha_batch`` call over all grids
 (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat at b = 3), with
-automatic box expansion; each row is computed as if alone, and ``beta`` is
-a one-row batch.
+at most ``_MAX_BOX_EXPANSIONS`` box doublings; each row is computed as if
+alone, and ``beta(h)`` is a one-row batch at the default box and levels.
 ``flow_oracle`` realizes beta independently as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
@@ -175,7 +175,7 @@ class MatherSolver:
                 np.maximum(part, level, out=part)
         return out
 
-    def alpha(self, p, polish: bool = True) -> float:
+    def alpha(self, p) -> float:
         """Effective Hamiltonian at a single p, exact up to root-finding."""
         p = np.asarray(p, dtype=float)
         if not self.circuits:
@@ -183,8 +183,6 @@ class MatherSolver:
         r = self.circuit_theta @ p
         cand = np.concatenate(list(self._circuit_levels(r[None])))
         best = float(cand.max())
-        if not polish:
-            return best
         val = self.a0
         for ci in np.nonzero(cand >= best - 1e-3)[0]:
             if self._circuit_sum(ci, self.a0) >= r[ci]:
@@ -198,22 +196,23 @@ class MatherSolver:
     # ----- beta by conjugation -----
 
     def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX,
-                   polish: bool = True, levels: int = 24,
-                   max_expansions: int = _MAX_BOX_EXPANSIONS) -> np.ndarray:
+                   polish: bool = True, levels: int = 24) -> np.ndarray:
         """beta at each row of H (shape (m, b)), with automatic box expansion.
 
         Rows whose maximizer sits on the box boundary are re-run together at
-        twice the box; every row is computed as if it were alone.
+        twice the box, at most ``_MAX_BOX_EXPANSIONS`` times; every row is
+        computed as if it were alone.
         """
         H = np.atleast_2d(np.asarray(H, dtype=float))
         if H.shape[1] == 0:
             return np.full(H.shape[0], -self.alpha(np.zeros(0)))
-        if search_box <= 0:
-            raise ValueError("search_box must be positive")
+        if not (search_box > 0 and np.isfinite(search_box * 2.0**_MAX_BOX_EXPANSIONS)):
+            raise ValueError(f"search_box must be positive and finite after "
+                             f"{_MAX_BOX_EXPANSIONS} doublings, not {search_box}")
         out = np.empty(H.shape[0])
         todo = np.arange(H.shape[0])
         hw = float(search_box)
-        for _ in range(max_expansions + 1):
+        for _ in range(_MAX_BOX_EXPANSIONS + 1):
             Ht = H[todo]
             p_star, val = _refine_max(  # <p, h> - alpha(p) on each row's grid
                 lambda P: np.matmul(P, Ht[:, :, None])[..., 0]
@@ -231,12 +230,9 @@ class MatherSolver:
         raise BoxExpansionLimit(
             f"conjugation maximizer still on the boundary at box {hw}")
 
-    def beta(self, h, search_box: float = DEFAULT_SEARCH_BOX,
-             polish: bool = True, levels: int = 24,
-             max_expansions: int = _MAX_BOX_EXPANSIONS) -> float:
-        """sup over p of <p, h> - alpha(p), with automatic box expansion."""
-        return float(self.beta_batch(np.asarray(h, dtype=float)[None], search_box,
-                                     polish, levels, max_expansions)[0])
+    def beta(self, h) -> float:
+        """sup over p of <p, h> - alpha(p): a one-row ``beta_batch``."""
+        return float(self.beta_batch(np.asarray(h, dtype=float)[None])[0])
 
     # ----- beta by closed-flow linear programming -----
 

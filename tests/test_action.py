@@ -50,11 +50,16 @@ class TestPathAction:
         _, _, profs = bouquet_free
         with pytest.raises(ValueError):
             path_action(profs, Path(()), 1.0)
-        with pytest.raises(ValueError):
-            path_action(profs, Path(("f1",)), 0.0)
+        for T in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="T must be positive"):
+                path_action(profs, Path(("f1",)), T)
 
 
 class TestMinAction:
+    def test_rejects_nan_horizon(self, bouquet_free):
+        with pytest.raises(ValueError, match="T must be positive"):
+            min_action(*bouquet_free, ActionQuery("v", "v", float("nan"), (0, 0)))
+
     def test_bouquet_loop(self, bouquet_free):
         g, tm, profs = bouquet_free
         q = ActionQuery("v", "v", 8.0, (4, 0))

@@ -78,7 +78,7 @@ def test_hop_bound_keeps_every_node_within_it(net, data):
     pot = crystal_potential(g, tm, profs)
     for reverse in (False, True):
         box = BoxGraph(g, tm, CrystalVertex(x, h0), radius, reverse)
-        full = box.distances(w, pot)
+        full = np.stack(list(box.levels(w, pot)))
         hops = box.hops()
         k = data.draw(st.integers(0, int(hops[np.isfinite(hops)].max())))
         within = hops <= k
@@ -170,10 +170,10 @@ class TestDriftedLoop:
     def test_min_action_matches_oracle_sweep(self, drifted_loop, monkeypatch):
         g, tm, profs = drifted_loop
 
-        def swept(box, weights, potential, at=None):
+        def swept(box, weights, potential, at):
             dist = sweep_weights(box.g, box.tm, weights, box.source.base,
                                  box.radius, reverse=box.reverse)
-            return dist if at is None else dist[(slice(None),) + at]
+            return dist[(slice(None),) + at]
 
         queries = [ActionQuery("v", "v", T, h) for T, h in
                    [(1.0, (0,)), (2.0, (3,)), (4.0, (-2,)), (8.0, (5,))]]
@@ -207,7 +207,7 @@ class TestDriftedLoop:
         for reverse in (False, True):
             box = BoxGraph(g, tm, CrystalVertex("v", (0,)), 4, reverse)
             within = box.hops() <= 2
-            full = box.distances(w, pot)
+            full = np.stack(list(box.levels(w, pot)))
             bounded = np.stack(list(box.levels(w, pot, max_hops=2)))
             np.testing.assert_array_equal(bounded[:, within], full[:, within])
             assert np.isfinite(full).all() and np.isinf(bounded[1, ~within]).any()

@@ -8,6 +8,8 @@ from conftest import BOUQUET_SPEC, HONEYCOMB_SPEC
 
 BOUQUET_HAM = [{"edge": "f1", "family": "quadratic"},
                {"edge": "f2", "family": "quadratic"}]
+HONEY_HAM = [{"edge": "e0", "potential": {"cos": [-1.0]}},
+             {"edge": "e1"}, {"edge": "e2"}]
 HONEY_EMB = {
     "vertices": {"x1": [0.0, 0.0], "x2": [1.0, 0.0]},
     "arcs": {
@@ -24,6 +26,7 @@ def files(tmp_path):
     for name, obj in [("bouquet.json", BOUQUET_SPEC),
                       ("honeycomb.json", HONEYCOMB_SPEC),
                       ("bouquet_ham.json", BOUQUET_HAM),
+                      ("honey_ham.json", HONEY_HAM),
                       ("emb.json", HONEY_EMB)]:
         p = tmp_path / name
         p.write_text(json.dumps(obj))
@@ -331,3 +334,40 @@ def test_embed_rejects_bad_window_and_samples(files, capsys, flag, value, what):
             "--embedding", files["emb.json"], "--window", "1", flag, value]
     assert main(argv) == 2
     assert what in capsys.readouterr().err
+
+
+HOMOGENIZE = ["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["beta", "--h", "0.5,0.25", "--search-box", "inf"], "--search-box"),
+    (["beta", "--h", "0.5,0.25", "--search-box", "1e308"], "search_box"),
+    (["beta", "--h", "0.5,0.25", "--search-box", "nan"], "--search-box"),
+    (["effective-hamiltonian", "--p", "nan,0"], "--p"),
+    (["effective-hamiltonian", "--p", "inf,0"], "--p"),
+    (["effective-hamiltonian", "--p-grid", "nan", "1", "3"], "--p-grid"),
+    (["beta", "--h", "nan,0.25"], "--h"),
+    (["action", "--x", "x1", "--y", "x1", "--T", "nan", "--h", "0,0"], "--T"),
+    (["action", "--x", "x1", "--y", "x1", "--T", "inf", "--h", "0,0"], "--T"),
+    (["homogenize", "--samples", "0.5,0.25@nan", "--eps", "0.25"], "--samples"),
+    (["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25,nan"], "--eps"),
+    (HOMOGENIZE + ["--radius", "nan"], "--radius"),
+    (HOMOGENIZE + ["--datum", "cone", "--c", "nan"], "--c"),
+    (HOMOGENIZE + ["--datum", "linear", "--p-datum", "nan,0"], "--p-datum"),
+    (["asymptotics", "--x", "x1", "--y", "x1", "--h-direction", "0.5,0",
+      "--T-list", "8,nan"], "--T-list"),
+], ids=["search-box-inf", "search-box-1e308", "search-box-nan", "p-nan", "p-inf",
+        "p-grid-nan", "h-nan", "T-nan", "T-inf", "samples-t-nan", "eps-nan",
+        "radius-nan", "c-nan", "p-datum-nan", "T-list-nan"])
+def test_rejects_non_finite_numbers(files, capsys, argv, flag):
+    """Each number is checked where it is parsed: exit 2, naming its flag."""
+    assert main([argv[0], "--graph", files["honeycomb.json"],
+                 "--hamiltonians", files["honey_ham.json"], *argv[1:]]) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_config_numbers_must_be_finite(files, capsys):
+    cfg = files["tmp"] / "nan.json"
+    cfg.write_text('{"h": ["1,1"], "search_box": NaN}')
+    assert main(_bouquet_args(files, "beta", "--config", str(cfg))) == 2
+    assert "--search-box nan is not a finite number" in capsys.readouterr().err

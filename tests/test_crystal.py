@@ -1,28 +1,27 @@
 import numpy as np
 import pytest
 
-from hjnet import Path
-from hjnet.crystal import (Crystal, CrystalEdge, CrystalVertex, project,
-                           stable_norm_estimate)
+from hjnet import crystal
+from hjnet.crystal import Crystal, CrystalEdge, CrystalVertex, stable_norm_estimate
 from hjnet.errors import BudgetExceeded
 
 from oracles import metric_invariance_check
 
 
 def _ball_graph(g, tm, radius):
-    """Materialized crystal ball as a networkx graph (independent oracle)."""
+    """Materialized crystal ball as a networkx graph, built from the base
+    graph and theta directly (independent oracle)."""
     import itertools
 
     import networkx as nx
 
-    c = Crystal(g, tm)
     G = nx.Graph()
     for h in itertools.product(range(-radius, radius + 1), repeat=tm.betti):
-        for v in g.vertices:
-            cv = CrystalVertex(v, h)
-            for w in c.neighbors(cv):
-                if max(abs(k) for k in w.h) <= radius:
-                    G.add_edge(cv, w)
+        for e in g.edges:
+            h2 = tuple(int(k) for k in np.asarray(h) + tm.theta[e])
+            if max(abs(k) for k in h2) <= radius:
+                G.add_edge(CrystalVertex(g.origin(e), h),
+                           CrystalVertex(g.terminus(e), h2))
     return G
 
 
@@ -53,50 +52,6 @@ def test_no_self_loops(honeycomb, bouquet):
                 assert c.origin(ce) != c.terminus(ce)
 
 
-def test_lift_path_honeycomb(honeycomb):
-    g, tm = honeycomb
-    c = Crystal(g, tm)
-    lp = c.lift_path(Path(("e1", "e0~")), (0, 0))
-    assert lp.start == CrystalVertex("x1", (0, 0))
-    assert c.terminus(lp.edges[-1]) == CrystalVertex("x1", (1, 0))
-
-
-def test_lift_path_bouquet(bouquet):
-    g, tm = bouquet
-    c = Crystal(g, tm)
-    lp = c.lift_path(Path(("f1", "f2")), (3, 3))
-    assert c.terminus(lp.edges[-1]) == CrystalVertex("v", (4, 4))
-
-
-def test_lift_empty_path(bouquet):
-    g, tm = bouquet
-    c = Crystal(g, tm)
-    lp = c.lift_path(Path(()), (2, 5), origin="v")
-    assert lp.start == CrystalVertex("v", (2, 5))
-    assert lp.edges == ()
-    with pytest.raises(ValueError):
-        c.lift_path(Path(()), (2, 5))
-
-
-def test_project_round_trip(honeycomb):
-    g, tm = honeycomb
-    rng = np.random.default_rng(11)
-    c = Crystal(g, tm)
-    for _ in range(25):
-        v = g.vertices[int(rng.integers(0, len(g.vertices)))]
-        edges = []
-        for _ in range(int(rng.integers(1, 8))):
-            options = g.star(v)
-            e = options[int(rng.integers(0, len(options)))]
-            edges.append(e)
-            v = g.terminus(e)
-        p0 = Path(tuple(edges))
-        h = tuple(int(k) for k in rng.integers(-3, 4, size=tm.betti))
-        lp = c.lift_path(p0, h)
-        assert project(lp) == p0
-        assert c.lift_path(project(lp), lp.start.h) == lp
-
-
 def test_graph_distance_lattice(bouquet):
     g, tm = bouquet
     c = Crystal(g, tm)
@@ -115,8 +70,9 @@ def test_graph_distance_adjacent(honeycomb):
     g, tm = honeycomb
     c = Crystal(g, tm)
     z = CrystalVertex("x1", (0, 0))
-    w = next(iter(c.neighbors(z)))
-    assert c.graph_distance(z, w) == 1
+    for e in g.star("x1"):
+        w = CrystalVertex(g.terminus(e), tuple(int(k) for k in tm.theta[e]))
+        assert c.graph_distance(z, w) == 1
 
 
 def test_graph_distance_against_networkx(honeycomb):
@@ -183,8 +139,11 @@ def test_distance_subadditive_along_multiples(bouquet, honeycomb):
                     assert d(m + n, h) <= d(m, h) + d(n, h)
 
 
-def test_budget_exceeded(bouquet):
+def test_budget_exceeded(bouquet, monkeypatch):
     g, tm = bouquet
-    with pytest.raises(BudgetExceeded):
-        Crystal(g, tm).graph_distance(CrystalVertex("v", (0, 0)),
-                                      CrystalVertex("v", (40, 40)), node_cap=100)
+    c = Crystal(g, tm)
+    with monkeypatch.context() as m:
+        m.setattr(crystal, "DEFAULT_NODE_CAP", 100)
+        with pytest.raises(BudgetExceeded, match="node cap 100"):
+            c.graph_distance(CrystalVertex("v", (0, 0)), CrystalVertex("v", (40, 40)))
+    assert c.graph_distance(CrystalVertex("v", (0, 0)), CrystalVertex("v", (4, 4))) == 8

@@ -248,10 +248,6 @@ class TestStructuralProperties:
         assert np.allclose(rev.sigma_plus(s, a), -DRIFTED.sigma_minus(1 - s, a))
         assert rev.reversed() is DRIFTED
 
-    def test_fiber_min_flag(self):
-        assert EdgeProfile("e", FREE).fiber_min_is_constant
-        assert not EdgeProfile("e", COS).fiber_min_is_constant
-
 
 class TestTabulated:
     def _from_quadratic(self, model, n_s=41, n_rho=161, rho_span=8.0):
@@ -299,7 +295,6 @@ class TestTabulated:
             assert rev.a_e == pytest.approx(critical_value(model.reversed()),
                                             abs=1e-12)
             assert rev.b_e == pytest.approx(fresh.b_e, abs=1e-12)
-            assert rev.fiber_min_is_constant == fresh.fiber_min_is_constant
 
     def test_reversal_of_tabulated(self):
         drift_tab = self._from_quadratic(DRIFTED, n_s=81, n_rho=321)

@@ -13,9 +13,15 @@ from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
 from oracles import epsilon_solution_dense
 
 ZERO = LinearDatum((0.0, 0.0))
+NAN = float("nan")
 
 
 class TestLimitSolution:
+    def test_rejects_nan_time(self, bouquet_free):
+        g, tm, profs = bouquet_free
+        with pytest.raises(ValueError, match="t must be positive"):
+            limit_solution(g, tm, profs, ZERO, (0.5, 0.25), NAN)
+
     def test_zero_datum(self, bouquet_free, honeycomb_cos):
         for g, tm, profs in (bouquet_free, honeycomb_cos):
             for t in [0.5, 1.0, 2.0]:
@@ -112,7 +118,13 @@ class TestEpsilonSolution:
         # <p, h> - t H_eff(p) at h = (0.5, 0.25), with H_eff(p) = |p|_inf^2 / 2
         assert got == pytest.approx(6.0 * 0.5 - 0.5 * 6.0**2 / 2, abs=1e-9)
 
-    @pytest.mark.parametrize("R", [0.0, -1.0])
+    @pytest.mark.parametrize("t, eps", [(NAN, 0.5), (1.0, NAN)], ids=["t", "eps"])
+    def test_rejects_nan(self, bouquet_free, t, eps):
+        g, tm, profs = bouquet_free
+        with pytest.raises(ValueError, match="must be positive"):
+            epsilon_solution(g, tm, profs, ZERO, CrystalVertex("v", (0, 0)), t, eps)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, NAN])
     def test_rejects_nonpositive_radius(self, bouquet_free, R):
         g, tm, profs = bouquet_free
         with pytest.raises(ValueError, match="must be positive"):
@@ -179,7 +191,10 @@ def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
     (((0.0, 0.0),), (0.0,), -0.5),
     (((0.0, 0.0),), (0.0,), float("inf")),
     (((0.0, 0.0),), (0.0,), float("nan")),
-], ids=["empty", "ragged", "value-count", "negative-L", "infinite-L", "nan-L"])
+    (((0.0, 0.0), (1.0, 0.0)), (0.0, float("nan")), 1.0),
+    (((0.0, float("inf")),), (0.0,), 1.0),
+], ids=["empty", "ragged", "value-count", "negative-L", "infinite-L", "nan-L",
+        "nan-value", "infinite-anchor"])
 def test_tabulated_datum_rejects_malformed_input(anchors, values, lipschitz):
     with pytest.raises(ValueError):
         TabulatedDatum(anchors, values, lipschitz)
@@ -192,10 +207,17 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), -1.0),), (0.25, 0.125))
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, NAN])
     def test_grid_rejects_nonpositive_radius(self, radius):
         with pytest.raises(ValueError, match="must be positive"):
             ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.125), radius=radius)
+
+    @pytest.mark.parametrize("t, eps_list", [(NAN, (0.25,)), (1.0, (0.25, NAN)),
+                                             (1.0, (0.25, -0.125))],
+                             ids=["t-nan", "eps-nan", "eps-negative"])
+    def test_grid_rejects_nan_and_nonpositive_eps(self, t, eps_list):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExperimentGrid((((0.0, 0.0), t),), eps_list)
 
     def test_grid_accepts_single_eps(self):
         grid = ExperimentGrid((((0.0, 0.0), 1.0),), (0.1,))

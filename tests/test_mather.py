@@ -43,13 +43,20 @@ class TestBetaConjugation:
         ratios = [solver.beta(t * h) / t for t in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    def test_box_expansion_limit(self, bouquet_free):
-        g, tm, profs = bouquet_free
-        solver = get_solver(g, tm, profs)
-        with pytest.raises(BoxExpansionLimit):
-            solver.beta((4.0, 0.0), search_box=0.5, max_expansions=0)
+    def test_box_expansion_limit(self, bouquet_free, monkeypatch):
+        solver = get_solver(*bouquet_free)
+        with monkeypatch.context() as m:
+            m.setattr(mather, "_MAX_BOX_EXPANSIONS", 0)
+            with pytest.raises(BoxExpansionLimit):
+                solver.beta_batch([(4.0, 0.0)], search_box=0.5)
         with pytest.raises(ValueError):
-            solver.beta((1.0, 0.0), search_box=-1.0)
+            solver.beta_batch([(1.0, 0.0)], search_box=-1.0)
+
+    @pytest.mark.parametrize("box", [np.nan, np.inf, 1e308])
+    def test_search_box_must_stay_finite(self, bouquet_free, box):
+        """A box that is not finite after every doubling is an input error."""
+        with pytest.raises(ValueError, match="search_box must be positive"):
+            get_solver(*bouquet_free).beta_batch([(1.0, 0.0)], search_box=box)
 
 
 class TestFlowOracle:
@@ -210,13 +217,16 @@ def test_beta_batch_rows_independent(honeycomb_cos, monkeypatch):
                         rng.uniform(-2, 2, size=(5, 2))])
     solver = MatherSolver(*honeycomb_cos)  # fresh: not the memoized one
     for polish in (True, False):
-        want = [solver.beta(h, polish=polish) for h in H]
+        want = [solver.beta_batch(h[None], polish=polish)[0] for h in H]
         order = rng.permutation(len(H))
         assert solver.beta_batch(H, polish=polish).tolist() == want
         assert solver.beta_batch(H[order], polish=polish).tolist() == [
             want[i] for i in order]
-    with pytest.raises(BoxExpansionLimit):
-        solver.beta_batch(H, max_expansions=0)
+    assert [solver.beta(h) for h in H] == solver.beta_batch(H).tolist()
+    with monkeypatch.context() as m:
+        m.setattr(mather, "_MAX_BOX_EXPANSIONS", 0)
+        with pytest.raises(BoxExpansionLimit):
+            solver.beta_batch(H)
     with pytest.raises(ValueError):
         solver.beta_batch(H, search_box=0.0)
 
