@@ -43,7 +43,6 @@ from .cell_problem import (
 from .mather import (
     ClosedFlow,
     MatherSolver,
-    get_solver,
 )
 from .action import (
     ActionQuery,

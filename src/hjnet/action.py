@@ -33,8 +33,8 @@ import numpy as np
 from .base_graph import BaseGraph, Path, ThetaMap
 from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
 from .edge_calculus import EdgeProfiles, _concave_max
-from .errors import Unreachable
-from .mather import get_solver
+from .errors import Unreachable, finite, integral
+from .mather import MatherSolver
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class ActionQuery:
     T: float
     h: tuple[int, ...]
     rotation_radius: int | None = None
+
+    def __post_init__(self):
+        integral("rotation vector h", self.h)
 
     def radius(self) -> int:
         if self.rotation_radius is not None:
@@ -65,8 +68,8 @@ def path_action(profiles: EdgeProfiles, support: Path, T: float) -> float:
     """
     if not support.edges:
         raise ValueError("support must be nonempty")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, not {T}")
     a_hat = max(profiles[e].a_e for e in support.edges)
 
     def f(a):
@@ -116,8 +119,8 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                query: ActionQuery) -> float:
     """Dual minimal-action bound max_{a >= a0} [Psi_a(x, y, h) - a T], concave
     in a; ``_concave_max`` runs one Dijkstra search per evaluation."""
-    if not query.T > 0:
-        raise ValueError("T must be positive")
+    if not 0 < query.T < np.inf:
+        raise ValueError(f"T must be positive and finite, not {query.T}")
     h = np.asarray(query.h, dtype=int)
     radius = query.radius()
     if np.max(np.abs(h), initial=0) > radius:
@@ -157,8 +160,10 @@ class ScanRow:
 def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      x: str, y: str, h_direction, T_list) -> list[ScanRow]:
     """Deviations |Phi(x,y,T, floor(T dir))/T - beta(h/T)| along a T schedule."""
-    solver = get_solver(g, tm, profiles)
-    direction = np.asarray(h_direction, dtype=float)
+    if not all(0 < T < np.inf for T in T_list):
+        raise ValueError(f"every T must be positive and finite, not {T_list}")
+    direction = finite("h_direction", h_direction)
+    solver = MatherSolver(g, tm, profiles)
     hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
     phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h)) / T
             for T, h in zip(T_list, hs)]

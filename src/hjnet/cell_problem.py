@@ -28,7 +28,7 @@ import numpy as np
 
 from .base_graph import BaseGraph, Path, ThetaMap
 from .edge_calculus import EdgeProfiles, _increasing_root
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, finite
 
 DEFAULT_BISECTION_TOL = 1e-8
 _CIRCUIT_BUDGET = 200_000  # enumerate_circuits raises beyond this many
@@ -65,7 +65,7 @@ def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
 def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                           p) -> float:
     """Critical level of the p-twisted cell problem (Mather's alpha at p)."""
-    p = np.asarray(p, dtype=float)
+    p = finite("p", p)
     return _increasing_root(lambda a: min_cycle_weight(g, tm, profiles, p, a),
                             profiles.a0, DEFAULT_BISECTION_TOL)
 

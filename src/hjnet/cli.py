@@ -22,7 +22,7 @@ from .edge_calculus import load_hamiltonians
 from .errors import HJNetError
 from .homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                          TabulatedDatum, convergence_experiment)
-from .mather import DEFAULT_SEARCH_BOX, get_solver
+from .mather import DEFAULT_SEARCH_BOX, MatherSolver
 from .netgen import BaseEmbedding, embed_crystal, export_window, orbit_length_check
 
 
@@ -142,7 +142,7 @@ def cmd_beta(args):
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
     box = _number(args.search_box, "--search-box")
-    vals = get_solver(g, tm, profiles).beta_batch(np.array(hs), search_box=box).tolist()
+    vals = MatherSolver(g, tm, profiles).beta_batch(np.array(hs), search_box=box).tolist()
     header = [f"h_{i+1}" for i in range(tm.betti)] + ["beta"]
     _write_csv(header, [list(h) + [v] for h, v in zip(hs, vals)], args.out)
     return 0

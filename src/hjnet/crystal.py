@@ -39,7 +39,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .base_graph import BaseGraph, ThetaMap
-from .errors import BudgetExceeded, ConvergenceFailure, NegativeReducedWeight
+from .errors import (BudgetExceeded, ConvergenceFailure, NegativeReducedWeight,
+                     integral)
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -317,9 +318,10 @@ def stable_norm_estimate(g: BaseGraph, tm: ThetaMap, h,
                          n_max: int) -> StableNormEstimate:
     """Estimate lim_n d(0, n h)/n from below-n_max rescaled distances, over
     the first base vertex."""
+    n_max = int(integral("n_max", n_max))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    h = np.asarray(h, dtype=int)
+    h = integral("h", h)
     x0 = g.vertices[0]
     c = Crystal(g, tm)
     zero = CrystalVertex(x0, _t(np.zeros(tm.betti, dtype=int)))

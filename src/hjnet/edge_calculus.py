@@ -25,8 +25,8 @@ beff = drift and c0 = beff^2 - 2 kappa V, so that sigma(a) =
 its s-blended columns and searches the crossing per level.  A reversed
 profile mirrors the forward kernel in s and keeps a_e.
 ``EdgeProfiles.sigma_all`` evaluates every directed edge at once from the
-stacked kernels; the cell problem, the Mather ladder and the reach weights
-read it.  Path actions start at their support's largest a_e, which may lie
+stacked kernels; the cell problem, the reach weights and the sigma ladder
+that ``EdgeProfiles`` keeps for ``mather`` read it.  Path actions start at their support's largest a_e, which may lie
 below a0, so they sum the per-edge kernels.
 """
 
@@ -41,7 +41,8 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq, minimize_scalar
 
 from .base_graph import BaseGraph
-from .errors import BudgetExceeded, DomainError, LevelBelowMinimum, NonConvexModel
+from .errors import (BudgetExceeded, ConvergenceFailure, DomainError,
+                     LevelBelowMinimum, NonConvexModel)
 
 DEFAULT_QUAD_SAMPLES = 257
 _CRIT_GRID = 2049
@@ -49,6 +50,10 @@ _CONCAVE_XATOL = 1e-10  # level tolerance of the bounded Brent search
 # (edges x levels x grid) cells per sigma_all pass: one 516-level ladder block
 # in a single pass raised the duality benchmark's peak RSS by about 10 MB
 _STACK_CELLS = 1 << 18
+# sigma ladder: a0, then a0 + 4e-7 rho^j; 516 levels per doubling of a - a0
+_LADDER_START = 4e-7
+_LADDER_RATIO = 1e7 ** (1 / 11999)
+_LADDER_BLOCK = 516
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,7 +451,9 @@ class EdgeProfile:
 class EdgeProfiles:
     """Profiles for every directed edge of a base graph, all on one grid.
 
-    The quadratic grid kernels are stacked once, here, for ``sigma_all``.
+    The quadratic grid kernels are stacked once, here, for ``sigma_all``.  The
+    sigma ladder, levels ``ladder_a`` and their ``ladder_sig``, only grows
+    (``grow_ladder``); not thread-safe, as queries grow it in place.
     """
 
     graph: BaseGraph
@@ -463,6 +470,8 @@ class EdgeProfiles:
         self._other = [i for i, p in enumerate(self._ordered) if i not in quad]
         if quad:
             self._stack = QuadraticGrid.stack([self._ordered[i].grid for i in quad])
+        self.ladder_a = np.array([self.a0])
+        self.ladder_sig = self.sigma_all(self.ladder_a)
 
     def __getitem__(self, edge_id: str) -> EdgeProfile:
         return self.profiles[edge_id]
@@ -488,6 +497,18 @@ class EdgeProfiles:
         for i in self._other:
             out[i] = self._ordered[i].sigma(flat)
         return out.reshape((-1,) + a_arr.shape)
+
+    def grow_ladder(self):
+        """Append block k, a0 + 4e-7 rho^j for j in [(k-1) B, k B) (one doubling
+        of a - a0); the blocks are fixed and levels present never change."""
+        if self.ladder_a[-1] - self.a0 > 1e12:
+            raise ConvergenceFailure("the sigma ladder grew unboundedly")
+        j0 = self.ladder_a.size - 1
+        a_new = self.a0 + _LADDER_START * _LADDER_RATIO ** np.arange(
+            j0, j0 + _LADDER_BLOCK)
+        self.ladder_a = np.concatenate([self.ladder_a, a_new])
+        self.ladder_sig = np.concatenate([self.ladder_sig, self.sigma_all(a_new)],
+                                         axis=1)
 
 
 def build_profiles(g: BaseGraph, models: dict[str, object]) -> EdgeProfiles:

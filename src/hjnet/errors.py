@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import numpy as np
+
+
+def finite(name: str, x) -> np.ndarray:
+    """x as a float array; ValueError naming ``name`` unless every entry is finite."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, not {x}")
+    return arr
+
+
+def integral(name: str, x) -> np.ndarray:
+    """x as an int array; ValueError naming ``name`` unless every entry is an integer."""
+    arr = finite(name, x)
+    if np.any(arr != np.round(arr)):
+        raise ValueError(f"{name} must have integer entries, not {x}")
+    return arr.astype(int)
 
 
 class HJNetError(Exception):

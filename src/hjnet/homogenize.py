@@ -35,9 +35,9 @@ import numpy as np
 from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
-from .errors import BudgetExceeded, RadiusExhausted
+from .errors import BudgetExceeded, RadiusExhausted, finite
 from .action import _dual_max, crystal_potential
-from .mather import MatherSolver, _refine_max, get_solver
+from .mather import MatherSolver, _refine_max
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +57,9 @@ class InitialDatum:
 class LinearDatum(InitialDatum):
     p: tuple[float, ...]
 
+    def __post_init__(self):
+        finite("linear datum p", self.p)
+
     def value(self, h):
         h = np.asarray(h, dtype=float)
         return h @ np.asarray(self.p, dtype=float)
@@ -71,6 +74,9 @@ class ConeDatum(InitialDatum):
     """c times the l1 norm."""
 
     c: float
+
+    def __post_init__(self):
+        finite("cone datum c", self.c)
 
     def value(self, h):
         h = np.asarray(h, dtype=float)
@@ -117,12 +123,14 @@ class ExperimentGrid:
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        if not all(t > 0 for _, t in self.samples):
-            raise ValueError("sample times must be positive")
-        if not all(eps > 0 for eps in self.eps_list):
-            raise ValueError("every eps must be positive")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError(f"search radius {self.radius} must be positive")
+        if not all(0 < t < np.inf for _, t in self.samples):
+            raise ValueError("sample times must be positive and finite")
+        for h, _ in self.samples:
+            finite("sample point h", h)
+        if not all(0 < eps < np.inf for eps in self.eps_list):
+            raise ValueError("every eps must be positive and finite")
+        if self.radius is not None and not 0 < self.radius < np.inf:
+            raise ValueError(f"search radius {self.radius} must be positive and finite")
 
 
 def _datum_lipschitz(datum, b: int) -> float:
@@ -174,11 +182,11 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      eps: float, R: float | None = None) -> float:
     """Value of the rescaled solution at crystal vertex z and time t: the
     least screened lower bound, refined exactly until the least one is exact."""
-    if not (t > 0 and eps > 0):
-        raise ValueError("t and eps must be positive")
-    if R is not None and not R > 0:
-        raise ValueError(f"search radius R = {R} must be positive")
-    solver = get_solver(g, tm, profiles)
+    if not (0 < t < np.inf and 0 < eps < np.inf):
+        raise ValueError(f"t and eps must be positive and finite, not {t}, {eps}")
+    if R is not None and not 0 < R < np.inf:
+        raise ValueError(f"search radius R = {R} must be positive and finite")
+    solver = MatherSolver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
     q_reach, a_cap = _reach_scales(solver, L)
     potential = crystal_potential(g, tm, profiles)
@@ -232,10 +240,10 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
     """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)]: ``_refine_max`` on
     its negation over q = (h - h0)/t, with box doubling and a polished beta."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    solver = get_solver(g, tm, profiles)
-    h = np.asarray(h, dtype=float)
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, not {t}")
+    h = finite("h", h)
+    solver = MatherSolver(g, tm, profiles)
     b = tm.betti
     if b == 0:
         return float(datum.value(h) + t * solver.beta(h))

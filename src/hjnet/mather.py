@@ -10,14 +10,13 @@ clipped from below at a0 (each S_xi is strictly increasing, so the root is
 found by one inverse interpolation that ``alpha`` and ``alpha_batch`` share,
 then polished in ``alpha`` by exact root finding).  This agrees with the
 cycle-mean route of ``cell_problem.effective_hamiltonian``; the test suite
-pins the two routes together.  Every computation here is a method of the
-one ``MatherSolver`` per network that ``get_solver(g, tm, profiles)``
-returns.
+pins the two routes together.  Every computation here is a method of
+``MatherSolver(g, tm, profiles)``, cheap to build per call.
 
-alpha, beta and the flow LP below read sigma from one append-only ladder
-per solver: levels a0 and a0 + 4e-7 rho^j (516 per doubling of a - a0), with
-per-edge sigma and circuit sums.  It grows one block at a time, only as far
-as a query needs, and never changes a level, so answers are history-free.
+alpha, beta and the flow LP below read sigma from the append-only ladder of
+``EdgeProfiles``, which any solver on those profiles grows one block at a
+time as far as its query needs; a solver extends its circuit sums block by
+block before it reads them, so answers are history-free.
 
 beta is the Fenchel conjugate of alpha: ``_refine_max``, the grid search
 that ``homogenize.limit_solution`` shares, maximizes <p, h> - alpha(p) on
@@ -42,15 +41,11 @@ from scipy.optimize import brentq, linprog
 
 from .base_graph import BaseGraph, ThetaMap, rotation_vector
 from .cell_problem import enumerate_circuits
-from .edge_calculus import EdgeProfiles
-from .errors import BoxExpansionLimit, ConvergenceFailure
+from .edge_calculus import _LADDER_BLOCK, EdgeProfiles
+from .errors import BoxExpansionLimit, ConvergenceFailure, finite
 
 DEFAULT_SEARCH_BOX = 4.0
 _MAX_BOX_EXPANSIONS = 40
-# sigma ladder: a0, then a0 + 4e-7 rho^j; 516 levels per doubling of a - a0
-_LADDER_START = 4e-7
-_LADDER_RATIO = 1e7 ** (1 / 11999)
-_LADDER_BLOCK = 516
 _SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
 _REFINE_PTS = 9  # grid points per axis of each conjugation refinement level
@@ -105,10 +100,7 @@ def _refine_max(objective, m: int, b: int, halfwidth: float, levels: int):
 
 
 class MatherSolver:
-    """Cached alpha/beta machinery for one (graph, theta, profiles) triple.
-
-    Not thread-safe: queries grow the sigma ladder in place.
-    """
+    """alpha/beta of one (graph, theta, profiles): circuits, theta, ladder sums."""
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles):
         self.g = g
@@ -121,34 +113,26 @@ class MatherSolver:
         self._circuit_edge_count = np.array(
             [[c.edges.count(e) for e in g.edge_order] for c in self.circuits],
             dtype=float).reshape(len(self.circuits), len(g.edge_order))
-        # the sigma ladder: levels, per-edge sigma and circuit sums, append-only
-        self._a = np.array([self.a0])
-        self._sig = profiles.sigma_all(self._a)
-        self._S = self._circuit_edge_count @ self._sig
+        self._S = np.empty((len(self.circuits), 0))
 
     # ----- the sigma ladder -----
 
-    def _grow(self):
-        """Append the next ladder block; levels already present never change.
-
-        Block k holds a0 + 4e-7 rho^j for j in [(k-1) B, k B), one doubling of
-        a - a0; the blocks are fixed, so every level is always computed alike.
-        """
-        if self._a[-1] - self.a0 > 1e12:
-            raise ConvergenceFailure("the sigma ladder grew unboundedly")
-        j0 = self._a.size - 1
-        a_new = self.a0 + _LADDER_START * _LADDER_RATIO ** np.arange(
-            j0, j0 + _LADDER_BLOCK)
-        sig = self.profiles.sigma_all(a_new)
-        self._a = np.concatenate([self._a, a_new])
-        self._sig = np.concatenate([self._sig, sig], axis=1)
-        self._S = np.concatenate([self._S, self._circuit_edge_count @ sig], axis=1)
+    def _sums(self) -> np.ndarray:
+        """Circuit sums over the whole ladder, extended one ladder block at a
+        time (a0 alone, then ``_LADDER_BLOCK`` levels) whoever grew it: one
+        product over several blocks can round differently in the last bits."""
+        sig = self.profiles.ladder_sig
+        while (lo := self._S.shape[1]) < sig.shape[1]:
+            hi = lo + (_LADDER_BLOCK if lo else 1)
+            self._S = np.concatenate(
+                [self._S, self._circuit_edge_count @ sig[:, lo:hi]], axis=1)
+        return self._S
 
     def _cover(self, r: np.ndarray):
         """Grow until every circuit sum at the top level exceeds its r."""
-        while np.any(r >= self._S[:, -1]):
-            self._grow()
-        return self._a, self._S
+        while np.any(r >= self._sums()[:, -1]):
+            self.profiles.grow_ladder()
+        return self.profiles.ladder_a, self._S
 
     def _circuit_sum(self, ci: int, a: float) -> float:
         return float(self._circuit_edge_count[ci] @ self.profiles.sigma_all(a))
@@ -164,7 +148,7 @@ class MatherSolver:
 
     def alpha_batch(self, P: np.ndarray) -> np.ndarray:
         """Interpolated effective Hamiltonian at each row of P (shape (m, b))."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
+        P = np.atleast_2d(finite("momenta P", P))
         out = np.full(P.shape[0], self.a0)
         if not self.circuits:
             return out
@@ -177,17 +161,18 @@ class MatherSolver:
 
     def alpha(self, p) -> float:
         """Effective Hamiltonian at a single p, exact up to root-finding."""
-        p = np.asarray(p, dtype=float)
+        p = finite("momentum p", p)
         if not self.circuits:
             return self.a0
         r = self.circuit_theta @ p
         cand = np.concatenate(list(self._circuit_levels(r[None])))
+        a_vals, S = self.profiles.ladder_a, self._S
         best = float(cand.max())
         val = self.a0
         for ci in np.nonzero(cand >= best - 1e-3)[0]:
             if self._circuit_sum(ci, self.a0) >= r[ci]:
                 continue
-            hi = self._a[max(1, np.searchsorted(self._S[ci], r[ci], side="right"))]
+            hi = a_vals[max(1, np.searchsorted(S[ci], r[ci], side="right"))]
             root = brentq(lambda a: self._circuit_sum(ci, a) - r[ci],
                           self.a0, hi, xtol=1e-11)
             val = max(val, float(root))
@@ -203,7 +188,7 @@ class MatherSolver:
         twice the box, at most ``_MAX_BOX_EXPANSIONS`` times; every row is
         computed as if it were alone.
         """
-        H = np.atleast_2d(np.asarray(H, dtype=float))
+        H = np.atleast_2d(finite("rotation vectors H", H))
         if H.shape[1] == 0:
             return np.full(H.shape[0], -self.alpha(np.zeros(0)))
         if not (search_box > 0 and np.isfinite(search_box * 2.0**_MAX_BOX_EXPANSIONS)):
@@ -244,16 +229,16 @@ class MatherSolver:
         every speed.  A parabola through the discrete maximum and its two
         neighbours (sigma is concave) removes the O(spacing^2) grid error.
         """
-        q_top = speeds.max()
-        while np.any((q_top * self._sig - self._a).argmax(axis=1)
-                     == self._a.size - 1):
-            self._grow()
-        a = self._a
+        q_top, profiles = speeds.max(), self.profiles
+        while np.any((q_top * profiles.ladder_sig - profiles.ladder_a).argmax(axis=1)
+                     == profiles.ladder_a.size - 1):
+            profiles.grow_ladder()
+        a, sig = profiles.ladder_a, profiles.ladder_sig
         out = np.empty((len(self.g.edge_order), speeds.size))
         for j, e in enumerate(self.g.edge_order):
             for lo in range(0, speeds.size, _SPEED_CHUNK):
                 q = speeds[lo:lo + _SPEED_CHUNK]
-                vals = q[:, None] * self._sig[j] - a
+                vals = q[:, None] * sig[j] - a
                 k = vals.argmax(axis=1)
                 idx = np.maximum(k, 1)[:, None] + np.arange(-1, 2)
                 x, y = a[idx], np.take_along_axis(vals, idx, axis=1)
@@ -327,12 +312,4 @@ class MatherSolver:
         return float(res2.fun), ClosedFlow(lam, flux)
 
 
-_solver_memo: dict[tuple[int, int, int], tuple] = {}
-
-
-def get_solver(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles) -> MatherSolver:
-    """Shared solver per (graph, theta, profiles); inputs are kept alive."""
-    key = (id(g), id(tm), id(profiles))
-    if key not in _solver_memo:
-        _solver_memo[key] = (MatherSolver(g, tm, profiles), g, tm, profiles)
-    return _solver_memo[key][0]
+get_solver = MatherSolver  # the name bench/workloads.py builds its solvers by

@@ -8,7 +8,7 @@ from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import BoxGraph, Crystal, CrystalVertex
 from hjnet.edge_calculus import _concave_max
 from hjnet.errors import BudgetExceeded, Unreachable
-from hjnet.mather import get_solver
+from hjnet.mather import MatherSolver
 
 
 def simpson_sigma(model, a, n_samples=257):
@@ -263,13 +263,13 @@ def beta_flow_oracle(g, tm, profiles, h):
     """beta through the closed-flow LP of ``MatherSolver.flow_oracle``."""
     if len(g.orientation) > 8:
         raise ValueError("flow oracle is intended for graphs with <= 8 positive edges")
-    value, _ = get_solver(g, tm, profiles).flow_oracle(h)
+    value, _ = MatherSolver(g, tm, profiles).flow_oracle(h)
     return value
 
 
 def conjugate_pair_check(g, tm, profiles, p, h, tol=1e-5):
     """Whether <p,h> = alpha(p) + beta(h) within tol."""
-    solver = get_solver(g, tm, profiles)
+    solver = MatherSolver(g, tm, profiles)
     p = np.asarray(p, dtype=float)
     h = np.asarray(h, dtype=float)
     gap = float(p @ h) - solver.alpha(p) - solver.beta(h)

@@ -16,7 +16,7 @@ from hjnet.edge_calculus import (EdgeProfile, QuadraticEdgeModel, TrigPoly,
                                  build_profiles, flux_limiter)
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                               convergence_experiment)
-from hjnet.mather import get_solver
+from hjnet.mather import MatherSolver
 
 from oracles import (convexity_probe, dp_edge_action_refined,
                      metric_invariance_check, min_action_exact_oracle)
@@ -95,21 +95,21 @@ def test_criterion_4_effective_hamiltonian(bouquet_free, honeycomb_cos,
 
 def test_criterion_5_mather_duality(bouquet_free, honeycomb_cos):
     g, tm, profs = bouquet_free
-    solver = get_solver(g, tm, profs)
+    solver = MatherSolver(g, tm, profs)
     rng = np.random.default_rng(200)
     for _ in range(25):
         h = rng.uniform(-2, 2, size=2)
         want = (abs(h[0]) + abs(h[1])) ** 2 / 2
         assert solver.beta(h) == pytest.approx(want, abs=1e-4)
     for gg, tt, pp in (bouquet_free, honeycomb_cos):
-        s = get_solver(gg, tt, pp)
+        s = MatherSolver(gg, tt, pp)
         assert s.beta(np.zeros(2)) == pytest.approx(-pp.a0, abs=1e-6)
         for h in [(1.0, 0.0), (0.5, -1.0), (1.5, 1.0)]:
             assert s.flow_oracle(h)[0] == pytest.approx(s.beta(h), abs=1e-3)
 
     from test_mather import conjugate_of_beta
     for gg, tt, pp in (bouquet_free, honeycomb_cos):
-        s = get_solver(gg, tt, pp)
+        s = MatherSolver(gg, tt, pp)
         for p in [(1.0, 0.0), (-0.7, 1.1)]:
             assert conjugate_of_beta(s, p) == pytest.approx(
                 s.alpha(p), abs=1e-3)
@@ -119,7 +119,7 @@ def test_criterion_5_mather_duality(bouquet_free, honeycomb_cos):
 
 def test_criterion_6_action_asymptotics(bouquet_free, honeycomb_cos):
     g, tm, profs = bouquet_free
-    solver = get_solver(g, tm, profs)
+    solver = MatherSolver(g, tm, profs)
     phi = min_action(g, tm, profs, ActionQuery("v", "v", 8.0, (4, 0)))
     dev = abs(phi / 8.0 - solver.beta((0.5, 0.0)))
     assert dev <= 1e-6

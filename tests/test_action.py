@@ -10,6 +10,8 @@ from hjnet.errors import Unreachable
 
 from oracles import allocation_grid_action, min_action_exact_oracle
 
+INF = float("inf")
+
 
 @pytest.fixture(scope="module")
 def mixed_path_graph():
@@ -236,3 +238,29 @@ class TestAsymptoticsScan:
         assert rows[0].h == (0, 0) and rows[1].h == (1, 0)
         for r in rows:
             assert r.deviation == pytest.approx(abs(r.phi_over_T - r.beta))
+
+
+def test_path_action_rejects_infinite_time(bouquet_free):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        path_action(bouquet_free[2], Path(("f1",)), INF)
+
+
+def test_min_action_rejects_infinite_time(honeycomb_cos):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        min_action(*honeycomb_cos, ActionQuery("x1", "x2", INF, (1, 0)))
+
+
+@pytest.mark.parametrize("h", [(1.9, 0), (1.5, 0), (float("nan"), 0)],
+                         ids=["1.9", "1.5", "nan"])
+def test_query_rejects_non_integer_h(h):
+    """A truncated h would be solved as another rotation vector."""
+    with pytest.raises(ValueError, match="h must"):
+        ActionQuery("x1", "x2", 8.0, h)
+
+
+@pytest.mark.parametrize("direction, T_list", [((0.5, 0.25), (4.0, INF)),
+                                               ((float("nan"), 0.25), (4.0,))],
+                         ids=["T-inf", "direction-nan"])
+def test_asymptotics_scan_rejects_non_finite_input(honeycomb_cos, direction, T_list):
+    with pytest.raises(ValueError, match="finite"):
+        asymptotics_scan(*honeycomb_cos, "x1", "x2", direction, T_list)

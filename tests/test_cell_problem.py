@@ -179,3 +179,10 @@ def test_alpha_routes_agree(honeycomb_cos, bouquet_free):
             p = rng.uniform(-2.5, 2.5, size=2)
             assert solver.alpha(p) == pytest.approx(
                 effective_hamiltonian(g, tm, profs, p), abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [(float("nan"), 0.0), (float("inf"), 0.0)],
+                         ids=["nan", "inf"])
+def test_effective_hamiltonian_rejects_non_finite_p(honeycomb_cos, p):
+    with pytest.raises(ValueError, match="p must be finite"):
+        effective_hamiltonian(*honeycomb_cos, p)

@@ -147,3 +147,11 @@ def test_budget_exceeded(bouquet, monkeypatch):
         with pytest.raises(BudgetExceeded, match="node cap 100"):
             c.graph_distance(CrystalVertex("v", (0, 0)), CrystalVertex("v", (40, 40)))
     assert c.graph_distance(CrystalVertex("v", (0, 0)), CrystalVertex("v", (4, 4))) == 8
+
+
+@pytest.mark.parametrize("h, n_max", [((1.5, 0), 4), ((0.5, 0), 4), ((1, 0), 2.5)],
+                         ids=["h-1.5", "h-0.5", "n_max-2.5"])
+def test_stable_norm_rejects_non_integer_input(bouquet, h, n_max):
+    """Truncating them would report another h or another n."""
+    with pytest.raises(ValueError, match="must have integer entries"):
+        stable_norm_estimate(*bouquet, h, n_max)

@@ -13,7 +13,7 @@ from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
 from oracles import epsilon_solution_dense
 
 ZERO = LinearDatum((0.0, 0.0))
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 class TestLimitSolution:
@@ -21,6 +21,12 @@ class TestLimitSolution:
         g, tm, profs = bouquet_free
         with pytest.raises(ValueError, match="t must be positive"):
             limit_solution(g, tm, profs, ZERO, (0.5, 0.25), NAN)
+
+    @pytest.mark.parametrize("h, t", [((0.5, 0.25), INF), ((NAN, 0.25), 1.0)],
+                             ids=["t-inf", "h-nan"])
+    def test_rejects_non_finite_input(self, honeycomb_cos, h, t):
+        with pytest.raises(ValueError, match="finite"):
+            limit_solution(*honeycomb_cos, ConeDatum(1.5), h, t)
 
     def test_zero_datum(self, bouquet_free, honeycomb_cos):
         for g, tm, profs in (bouquet_free, honeycomb_cos):
@@ -118,13 +124,14 @@ class TestEpsilonSolution:
         # <p, h> - t H_eff(p) at h = (0.5, 0.25), with H_eff(p) = |p|_inf^2 / 2
         assert got == pytest.approx(6.0 * 0.5 - 0.5 * 6.0**2 / 2, abs=1e-9)
 
-    @pytest.mark.parametrize("t, eps", [(NAN, 0.5), (1.0, NAN)], ids=["t", "eps"])
+    @pytest.mark.parametrize("t, eps", [(NAN, 0.5), (1.0, NAN), (INF, 0.5), (1.0, INF)],
+                             ids=["t", "eps", "t-inf", "eps-inf"])
     def test_rejects_nan(self, bouquet_free, t, eps):
         g, tm, profs = bouquet_free
         with pytest.raises(ValueError, match="must be positive"):
             epsilon_solution(g, tm, profs, ZERO, CrystalVertex("v", (0, 0)), t, eps)
 
-    @pytest.mark.parametrize("R", [0.0, -1.0, NAN])
+    @pytest.mark.parametrize("R", [0.0, -1.0, NAN, INF])
     def test_rejects_nonpositive_radius(self, bouquet_free, R):
         g, tm, profs = bouquet_free
         with pytest.raises(ValueError, match="must be positive"):
@@ -207,17 +214,22 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), -1.0),), (0.25, 0.125))
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, NAN])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, NAN, INF])
     def test_grid_rejects_nonpositive_radius(self, radius):
         with pytest.raises(ValueError, match="must be positive"):
             ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.125), radius=radius)
 
     @pytest.mark.parametrize("t, eps_list", [(NAN, (0.25,)), (1.0, (0.25, NAN)),
-                                             (1.0, (0.25, -0.125))],
-                             ids=["t-nan", "eps-nan", "eps-negative"])
+                                             (1.0, (0.25, -0.125)), (INF, (0.25,)),
+                                             (1.0, (INF, 0.25))],
+                             ids=["t-nan", "eps-nan", "eps-negative", "t-inf", "eps-inf"])
     def test_grid_rejects_nan_and_nonpositive_eps(self, t, eps_list):
         with pytest.raises(ValueError, match="must be positive"):
             ExperimentGrid((((0.0, 0.0), t),), eps_list)
+
+    def test_grid_rejects_non_finite_sample_point(self):
+        with pytest.raises(ValueError, match="sample point h must be finite"):
+            ExperimentGrid((((NAN, 0.25), 1.0),), (0.25, 0.125))
 
     def test_grid_accepts_single_eps(self):
         grid = ExperimentGrid((((0.0, 0.0), 1.0),), (0.1,))
@@ -257,3 +269,10 @@ class TestConvergenceExperiment:
         report = convergence_experiment(g, tm, profs, LinearDatum((0.6, 0.8)), grid)
         assert all(err <= 1e-9 for err in report.sup_error_per_eps.values())
         assert [r["h"] for r in report.rows] == [(0.3, 0.1)] * 2
+
+
+@pytest.mark.parametrize("make", [lambda: ConeDatum(NAN), lambda: LinearDatum((NAN, 0.0))],
+                         ids=["cone", "linear"])
+def test_data_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
