@@ -14,12 +14,12 @@ lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
 the box, each level a Dijkstra search that stops once the ball (at most R/eps
 arcs from z) is settled, into a running max: a lower bound per vertex.  The
 least bound is then made exact (``action._dual_max``) until it already is,
-which makes it the minimum.  The limit solution is the inf-convolution
-
-    u(h, t) = inf over h0 of [ g(h0) + t beta((h - h0)/t) ],
-
-computed by ``mather._refine_max``, the grid search of beta, over the
-displacements q = (h - h0)/t, each level's q in one ``beta_batch`` call.
+which makes it the minimum.  The limit solution is the Hopf-Lax value
+inf over h0 of [g(h0) + t beta((h - h0)/t)].  As alpha is convex and g is the
+least of convex pieces v_i + sup over p in D_i of <p, h - x_i>, Hopf's formula
+(Hopf 1965; Bardi and Evans 1984) gives it as the least over i of
+v_i + sup over p in D_i of <p, h - x_i> - t alpha(p), with no beta: a closed
+form where D_i is a point, else ``MatherSolver.hopf_sup``.
 The convergence experiment compares u_eps at the lattice vertex nearest to
 each sample h with u at that vertex, along a decreasing list of eps.
 """
@@ -35,15 +35,14 @@ import numpy as np
 from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
-from .errors import BudgetExceeded, RadiusExhausted, finite
+from .errors import RadiusExhausted, finite, integral
 from .action import _dual_max, crystal_potential
-from .mather import MatherSolver, _refine_max
+from .mather import MatherSolver
 
 logger = logging.getLogger(__name__)
 
 _DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
 _REACH_DIRS = 16  # random momentum directions of _reach_scales, plus the axes
-_HOPF_TOL = 1e-4  # limit_solution refines while grid half-width times t exceeds it
 
 
 class InitialDatum:
@@ -133,6 +132,13 @@ class ExperimentGrid:
             raise ValueError(f"search radius {self.radius} must be positive and finite")
 
 
+def _check_dims(datum: InitialDatum, b: int):
+    dim = (len(datum.p) if isinstance(datum, LinearDatum) else
+           len(datum.anchors[0]) if isinstance(datum, TabulatedDatum) else b)
+    if dim != b:
+        raise ValueError(f"datum has dimension {dim}, not b = {b}")
+
+
 def _datum_lipschitz(datum, b: int) -> float:
     if isinstance(datum, ConeDatum):
         return abs(datum.c) * np.sqrt(b)
@@ -186,6 +192,9 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         raise ValueError(f"t and eps must be positive and finite, not {t}, {eps}")
     if R is not None and not 0 < R < np.inf:
         raise ValueError(f"search radius R = {R} must be positive and finite")
+    if integral("lattice point z.h", z.h).shape != (tm.betti,):
+        raise ValueError(f"lattice point z.h must have b = {tm.betti} entries, not {z.h}")
+    _check_dims(datum, tm.betti)
     solver = MatherSolver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
     q_reach, a_cap = _reach_scales(solver, L)
@@ -238,31 +247,24 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
 
 def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
-    """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)]: ``_refine_max`` on
-    its negation over q = (h - h0)/t, with box doubling and a polished beta."""
+    """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by Hopf's formula,
+    the least over the datum's convex pieces (see the module docstring)."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, not {t}")
-    h = finite("h", h)
-    solver = MatherSolver(g, tm, profiles)
     b = tm.betti
-    if b == 0:
-        return float(datum.value(h) + t * solver.beta(h))
-    L = _datum_lipschitz(datum, b)
-    q_reach, _ = _reach_scales(solver, L)
-
-    def neg_hopf(P):  # -(g(h - t q) + t beta(q)) on the one grid P[0]
-        return -(np.array([datum.value(h - t * q) for q in P[0]], dtype=float)
-                 + t * solver.beta_batch(P[0], polish=False, levels=18))[None]
-
-    hw = max(1.0, q_reach)
-    for _ in range(20):
-        # one level per halving while the half-width times t exceeds the tolerance
-        levels = next(k for k in itertools.count() if hw / 2.0**k * t <= _HOPF_TOL)
-        best_q = _refine_max(neg_hopf, 1, b, hw, levels)[0][0]
-        if np.max(np.abs(best_q)) < hw * (1 - 1e-9):
-            return float(datum.value(h - t * best_q) + t * solver.beta(best_q))
-        hw *= 2.0
-    raise BudgetExceeded("inf-convolution grid kept expanding")
+    if (h := finite("h", h)).shape != (b,):
+        raise ValueError(f"h must have b = {b} entries, not {h.tolist()}")
+    _check_dims(datum, b)
+    solver = MatherSolver(g, tm, profiles)
+    if isinstance(datum, TabulatedDatum):  # v_i + L |h - x_i|_2: D the ball |p|_2 <= L
+        return min(v + solver.hopf_sup(h - np.asarray(x, dtype=float), t, datum.lipschitz, 2)
+                   for x, v in zip(datum.anchors, datum.values))
+    if isinstance(datum, ConeDatum) and datum.c >= 0:  # D: the box |p|_inf <= c
+        return solver.hopf_sup(h, t, datum.c, np.inf)
+    # D = {p}: a linear datum, or the 2^b linear data c s whose least is the cone c < 0
+    P = (np.atleast_2d(datum.p) if isinstance(datum, LinearDatum)
+         else datum.c * np.array(list(itertools.product((-1.0, 1.0), repeat=b))))
+    return min(float(p @ h) - t * solver.alpha(p) for p in P)
 
 
 @dataclass
@@ -279,23 +281,19 @@ def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                            datum: InitialDatum,
                            grid: ExperimentGrid) -> ExperimentReport:
     """Compare u_eps at z = (x0, round(h / eps)), x0 the first base vertex,
-    with the limit at eps round(h / eps) for every sample (h, t) and eps;
-    each distinct limit point is solved once."""
+    with the limit at eps round(h / eps) for every sample (h, t) and eps."""
     report = ExperimentReport()
     x0 = g.vertices[0]
-    limits = {}
     for eps in grid.eps_list:
         sup_err = 0.0
         for (h, t) in grid.samples:
             h_z = tuple(int(k) for k in np.round(np.asarray(h, dtype=float) / eps))
-            at = (tuple(float(eps * k) for k in h_z), t)
-            if at not in limits:
-                limits[at] = limit_solution(g, tm, profiles, datum, *at)
+            u = limit_solution(g, tm, profiles, datum, eps * np.array(h_z, dtype=float), t)
             u_eps = epsilon_solution(g, tm, profiles, datum, CrystalVertex(x0, h_z),
                                      t, eps, R=grid.radius)
-            err = abs(u_eps - limits[at])
+            err = abs(u_eps - u)
             sup_err = max(sup_err, err)
             report.rows.append({"eps": eps, "h": h, "t": t, "u_eps": u_eps,
-                                "u_limit": limits[at], "abs_error": err})
+                                "u_limit": u, "abs_error": err})
         report.sup_error_per_eps[eps] = sup_err
     return report

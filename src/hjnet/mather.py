@@ -19,11 +19,11 @@ time as far as its query needs; a solver extends its circuit sums block by
 block before it reads them, so answers are history-free.
 
 beta is the Fenchel conjugate of alpha: ``_refine_max``, the grid search
-that ``homogenize.limit_solution`` shares, maximizes <p, h> - alpha(p) on
-one 9^b grid per h, each level in one ``alpha_batch`` call over all grids
-(in chunks of ``_ROW_CHUNK`` rows, so memory stays flat at b = 3), with
-at most ``_MAX_BOX_EXPANSIONS`` box doublings; each row is computed as if
-alone, and ``beta(h)`` is a one-row batch at the default box and levels.
+that ``hopf_sup`` runs on grids projected onto a ball, maximizes
+<p, h> - alpha(p) on one 9^b grid per h, each level in one ``alpha_batch``
+call over all grids (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat
+at b = 3), with at most ``_MAX_BOX_EXPANSIONS`` box doublings, and the exact
+alpha at each maximizer; ``beta(h)`` is a one-row batch, bit for bit.
 ``flow_oracle`` realizes beta independently as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
@@ -49,6 +49,7 @@ _MAX_BOX_EXPANSIONS = 40
 _SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
 _REFINE_PTS = 9  # grid points per axis of each conjugation refinement level
+_REFINE_LEVELS = 24  # halvings of every _refine_max search
 _N_SPEEDS = 201  # speeds of the flow LP grid, 0 included
 
 
@@ -76,16 +77,17 @@ class ClosedFlow:
         return max(abs(x) for x in net.values())
 
 
-def _refine_max(objective, m: int, b: int, halfwidth: float, levels: int):
+def _refine_max(objective, m: int, b: int, halfwidth: float):
     """Best point seen and its value per row of m grid searches over R^b: per
-    level, ``objective`` maps the stacked 9^b grids (m, 9^b, b) to (m, 9^b),
-    and each row recentres on its best point and halves the half-width."""
+    level, ``objective`` maps the stacked 9^b grids (m, 9^b, b) to (m, 9^b) and
+    may move the points in place (onto a constraint set); each row recentres on
+    its best point, as moved, and halves the half-width."""
     rows = np.arange(m)
     grid = np.indices((_REFINE_PTS,) * b).reshape(b, -1).T  # C-order multi-indices
     center = np.zeros((m, b))
     best_p, best_val = center.copy(), np.full(m, -np.inf)
     hw = halfwidth
-    for _ in range(levels):
+    for _ in range(_REFINE_LEVELS):
         axes = np.linspace(center - hw, center + hw, _REFINE_PTS, axis=-1)  # (m, b, 9)
         # (m, 9^b, b), C-contiguous so each row's BLAS call is the same
         P = np.ascontiguousarray(axes[:, np.arange(b), grid])
@@ -180,8 +182,7 @@ class MatherSolver:
 
     # ----- beta by conjugation -----
 
-    def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX,
-                   polish: bool = True, levels: int = 24) -> np.ndarray:
+    def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX) -> np.ndarray:
         """beta at each row of H (shape (m, b)), with automatic box expansion.
 
         Rows whose maximizer sits on the box boundary are re-run together at
@@ -202,11 +203,10 @@ class MatherSolver:
             p_star, val = _refine_max(  # <p, h> - alpha(p) on each row's grid
                 lambda P: np.matmul(P, Ht[:, :, None])[..., 0]
                 - self.alpha_batch(P.reshape(-1, H.shape[1])).reshape(P.shape[:2]),
-                todo.size, H.shape[1], hw, levels)
+                todo.size, H.shape[1], hw)
             inside = np.abs(p_star).max(axis=1) < hw * (1 - 1e-9)
-            if polish:
-                for k in np.nonzero(inside)[0]:
-                    val[k] = p_star[k] @ H[todo[k]] - self.alpha(p_star[k])
+            for k in np.nonzero(inside)[0]:
+                val[k] = p_star[k] @ H[todo[k]] - self.alpha(p_star[k])
             out[todo[inside]] = val[inside]
             todo = todo[~inside]
             if not todo.size:
@@ -218,6 +218,18 @@ class MatherSolver:
     def beta(self, h) -> float:
         """sup over p of <p, h> - alpha(p): a one-row ``beta_batch``."""
         return float(self.beta_batch(np.asarray(h, dtype=float)[None])[0])
+
+    def hopf_sup(self, q: np.ndarray, t: float, radius: float, ord: float) -> float:
+        """sup of <p, q> - t alpha(p) over the ball |p|_ord <= radius, ord inf or 2:
+        the grid search on grids clipped (inf) or scaled radially (2) onto the
+        ball, then the exact alpha at the best point."""
+        def objective(P):
+            n = np.linalg.norm(P, axis=-1, keepdims=True)
+            P[...] = (np.clip(P, -radius, radius) if ord == np.inf
+                      else P * (radius / np.maximum(n, radius or 1.0)))
+            return P @ q - t * self.alpha_batch(P.reshape(-1, q.size)).reshape(P.shape[:2])
+        p = _refine_max(objective, 1, q.size, radius)[0][0] if q.size else q
+        return float(p @ q) - t * self.alpha(p)
 
     # ----- beta by closed-flow linear programming -----
 

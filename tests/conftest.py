@@ -92,6 +92,24 @@ def k4_drift():
 
 
 @pytest.fixture(scope="session")
+def k4_mixed():
+    """Sunada's K4 crystal (b = 3) with the benchmark's drifts and potentials."""
+    g = build_graph({"vertices": list("abcd"),
+                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
+                               for u, v in itertools.combinations("abcd", 2)]})
+    tm = theta_map(g, spanning_tree(g))
+    profs = build_profiles(g, {
+        "kab": QuadraticEdgeModel(drift=TrigPoly(const=0.25)),
+        "kac": QuadraticEdgeModel(potential=TrigPoly(cos=(-0.5,))),
+        "kad": QuadraticEdgeModel(),
+        "kbc": QuadraticEdgeModel(drift=TrigPoly(sin=(0.2,))),
+        "kbd": QuadraticEdgeModel(potential=TrigPoly(cos=(-0.25,))),
+        "kcd": QuadraticEdgeModel(drift=TrigPoly(const=-0.15),
+                                  potential=TrigPoly(sin=(0.2,)))})
+    return g, tm, profs
+
+
+@pytest.fixture(scope="session")
 def drifted_loop():
     """One-loop bouquet, H = rho^2/2 + 2 rho: sigma(f, a0) = -2, H_eff(0) = a0 + 2."""
     g = build_graph({"vertices": ["v"],

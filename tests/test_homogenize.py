@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestLimitSolution:
                 t = float(rng.uniform(0.5, 2.0))
                 want = float(p @ h) - t * effective_hamiltonian(g, tm, profs, p)
                 got = limit_solution(g, tm, profs, LinearDatum(tuple(p)), h, t)
-                assert got == pytest.approx(want, abs=1e-3)
+                assert got == pytest.approx(want, abs=1e-6)
 
     def test_short_time_consistency(self, bouquet_free):
         g, tm, profs = bouquet_free
@@ -64,6 +66,64 @@ class TestLimitSolution:
             u1 = limit_solution(g, tm, profs, cone, h1, 1.0)
             u2 = limit_solution(g, tm, profs, cone, h2, 1.0)
             assert abs(u1 - u2) <= L * np.linalg.norm(h1 - h2) + 1e-4
+
+
+def test_limit_cone_reaches_the_lattice_value(honeycomb_cos_quarter):
+    # Hopf's formula sup_{|p|_inf <= 1.5} <p, h> - H_eff(p) by a dense search
+    got = limit_solution(*honeycomb_cos_quarter, ConeDatum(1.5), (0.25, 0.0), 1.0)
+    assert got == pytest.approx(0.08611774395279381, abs=1e-9)
+
+
+def test_limit_cone_not_below_a_witness(honeycomb_cos_quarter):
+    # Hopf's formula at one momentum of the box |p|_inf <= 1.5 bounds u below
+    h, p_w = np.array([0.25, -0.5]), np.array([0.042742, -1.5])
+    got = limit_solution(*honeycomb_cos_quarter, ConeDatum(1.5), h, 1.0)
+    assert got >= p_w @ h - effective_hamiltonian(*honeycomb_cos_quarter, p_w) - 1e-9
+
+
+def test_limit_tabulated_maximizer_on_the_ball(honeycomb_cos_quarter):
+    # the least piece, anchor (1, 0.5), has its maximizer on the sphere |p|_2 = 1
+    got = limit_solution(*honeycomb_cos_quarter, TABLE, (0.5, 0.25), 1.0)
+    assert got == pytest.approx(-0.45 + np.sqrt(0.3125), abs=1e-9)
+
+
+def test_limit_concave_cone_is_least_linear_piece(honeycomb_cos_quarter):
+    h, c = np.array([0.5, 0.25]), -0.5
+    want = min(c * np.array(s) @ h - effective_hamiltonian(*honeycomb_cos_quarter, c * np.array(s))
+               for s in itertools.product((-1.0, 1.0), repeat=2))
+    got = limit_solution(*honeycomb_cos_quarter, ConeDatum(c), h, 1.0)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_limit_matches_lattice_value_at_b3(k4_mixed):
+    h = (0.5, 0.25, 0.0)
+    got = limit_solution(*k4_mixed, ConeDatum(1.5), h, 1.0)
+    u_eps = epsilon_solution(*k4_mixed, ConeDatum(1.5), _vertex("a", h, 1 / 4), 1.0, 1 / 4)
+    assert got == pytest.approx(u_eps, abs=1e-9)
+    assert got == pytest.approx(0.625, abs=1e-9)
+
+
+@pytest.mark.parametrize("datum, h, match", [
+    (ConeDatum(1.5), (0.5,), "h must have b = 2"),
+    (ConeDatum(1.5), (0.5, 0.25, 0.0), "h must have b = 2"),
+    (TabulatedDatum(((0.0,),), (0.0,), 1.0), (0.5, 0.25), "dimension 1, not b = 2"),
+    (LinearDatum((1.0, 0.0, 0.0)), (0.5, 0.25), "dimension 3, not b = 2"),
+], ids=["h-short", "h-long", "tabulated-1d", "linear-3d"])
+def test_limit_rejects_mismatched_dimensions(honeycomb_cos_quarter, datum, h, match):
+    with pytest.raises(ValueError, match=match):
+        limit_solution(*honeycomb_cos_quarter, datum, h, 1.0)
+
+
+@pytest.mark.parametrize("datum, z, match", [
+    (ConeDatum(1.5), CrystalVertex("x1", (2.5, 1)), "z.h must have integer entries"),
+    (ConeDatum(1.5), CrystalVertex("x1", (2,)), "z.h must have b = 2"),
+    (TabulatedDatum(((0.0,),), (0.0,), 1.0), CrystalVertex("x1", (2, 1)),
+     "dimension 1, not b = 2"),
+    (LinearDatum((1.0, 0.0, 0.0)), CrystalVertex("x1", (2, 1)), "dimension 3, not b = 2"),
+], ids=["z-fractional", "z-short", "tabulated-1d", "linear-3d"])
+def test_epsilon_rejects_mismatched_dimensions(honeycomb_cos_quarter, datum, z, match):
+    with pytest.raises(ValueError, match=match):
+        epsilon_solution(*honeycomb_cos_quarter, datum, z, 1.0, 0.25)
 
 
 class TestEpsilonSolution:

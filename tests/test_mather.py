@@ -144,7 +144,7 @@ def conjugate_of_beta(solver, p, box=12.0, levels=16):
         axes = [np.linspace(center[i] - hw, center[i] + hw, 7)
                 for i in range(p.size)]
         H = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.size)
-        vals = H @ p - solver.beta_batch(H, polish=False, levels=16)
+        vals = H @ p - solver.beta_batch(H)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         center = H[i]
@@ -228,12 +228,10 @@ def test_beta_batch_rows_independent(honeycomb_cos, monkeypatch):
     H = np.concatenate([[[6.0, 0.5], [-5.8, 6.1], [0.0, 0.0]],
                         rng.uniform(-2, 2, size=(5, 2))])
     solver = MatherSolver(*_fresh(honeycomb_cos))
-    for polish in (True, False):
-        want = [solver.beta_batch(h[None], polish=polish)[0] for h in H]
-        order = rng.permutation(len(H))
-        assert solver.beta_batch(H, polish=polish).tolist() == want
-        assert solver.beta_batch(H[order], polish=polish).tolist() == [
-            want[i] for i in order]
+    want = [solver.beta_batch(h[None])[0] for h in H]
+    order = rng.permutation(len(H))
+    assert solver.beta_batch(H).tolist() == want
+    assert solver.beta_batch(H[order]).tolist() == [want[i] for i in order]
     assert [solver.beta(h) for h in H] == solver.beta_batch(H).tolist()
     with monkeypatch.context() as m:
         m.setattr(mather, "_MAX_BOX_EXPANSIONS", 0)
