@@ -167,7 +167,6 @@ def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
     phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h)) / T
             for T, h in zip(T_list, hs)]
-    betas = solver.beta_batch([np.asarray(h, dtype=float) / T
-                               for T, h in zip(T_list, hs)]).tolist()
+    betas = [solver.beta(np.asarray(h, dtype=float) / T) for T, h in zip(T_list, hs)]
     return [ScanRow(float(T), h, phi, bval, abs(phi - bval))
             for T, h, phi, bval in zip(T_list, hs, phis, betas)]

@@ -22,7 +22,7 @@ from .edge_calculus import load_hamiltonians
 from .errors import HJNetError
 from .homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                          TabulatedDatum, convergence_experiment)
-from .mather import DEFAULT_SEARCH_BOX, MatherSolver
+from .mather import MatherSolver
 from .netgen import BaseEmbedding, embed_crystal, export_window, orbit_length_check
 
 
@@ -141,8 +141,7 @@ def cmd_beta(args):
     hs = [_check_dim(_vector(s, "--h"), tm.betti, "h vector") for s in (args.h or [])]
     if not hs:
         raise HJNetError("no h vectors given (use --h)")
-    box = _number(args.search_box, "--search-box")
-    vals = MatherSolver(g, tm, profiles).beta_batch(np.array(hs), search_box=box).tolist()
+    vals = list(map(MatherSolver(g, tm, profiles).beta, hs))
     header = [f"h_{i+1}" for i in range(tm.betti)] + ["beta"]
     _write_csv(header, [list(h) + [v] for h, v in zip(hs, vals)], args.out)
     return 0
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta", help="Mather beta function at h")
     common(p)
     p.add_argument("--h", action="append", help="h vector (repeatable)")
-    p.add_argument("--search-box", type=float, default=DEFAULT_SEARCH_BOX)
     p.set_defaults(fn=cmd_beta)
 
     p = sub.add_parser("action", help="discrete minimal action")

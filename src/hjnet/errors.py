@@ -51,10 +51,6 @@ class BudgetExceeded(HJNetError):
     """A search exceeded its configured node or enumeration budget."""
 
 
-class BoxExpansionLimit(HJNetError):
-    """The conjugation search box grew past its configured cap."""
-
-
 class ConvergenceFailure(HJNetError):
     """An iterative oracle failed to converge; carries diagnostics."""
 

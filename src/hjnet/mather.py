@@ -1,29 +1,24 @@
 """Mather's alpha/beta functions on the base graph.
 
-alpha coincides with the effective Hamiltonian.  For batched evaluation the
-solver exploits the circuit characterization: alpha(p) is the largest root,
-over directed simple circuits xi, of
+alpha is the effective Hamiltonian by the circuit characterization: alpha(p)
+is the largest root over directed simple circuits xi of S_xi(a) = <p, theta(xi)>,
+S_xi(a) = sum_{e in xi} sigma(e, a), clipped below at a0.  ``alpha_batch`` and
+``alpha`` share one inverse interpolation on the append-only sigma ladder of
+``EdgeProfiles`` (a solver extends its circuit sums block by block, so answers
+are history-free); ``alpha`` polishes it by ``brentq``.  The test suite pins
+this route to the cycle means of ``cell_problem.effective_hamiltonian``.
 
-    S_xi(a) = <p, theta(xi)>        with  S_xi(a) = sum_{e in xi} sigma(e, a),
+``hopf_sup`` is the one conjugation: sup over p in D of <p, q> - t alpha(p) for
+D = R^b (beta) or the dual sets of ``homogenize.limit_solution``'s pieces, a
+box |p|_inf <= c or a ball |p|_2 <= L.  alpha(p) <= a exactly when
+<theta(xi), p> <= S_xi(a) for every xi, so the sup is max over a of
+W(a) - t a, with W(a) = max <p, q> over D in that circuit polytope, concave in
+a and -inf below the least a where the polytope meets D.  W(a) is exact on a
+candidate table built once per solver and D: the vertex of every b independent
+rows (the box's faces are rows too) and, for the ball, the sphere point of
+every face of fewer rows.  ``edge_calculus._concave_max`` maximizes over a;
+the value is <p, q> - t alpha(p) at the best candidate p, a witness.
 
-clipped from below at a0 (each S_xi is strictly increasing, so the root is
-found by one inverse interpolation that ``alpha`` and ``alpha_batch`` share,
-then polished in ``alpha`` by exact root finding).  This agrees with the
-cycle-mean route of ``cell_problem.effective_hamiltonian``; the test suite
-pins the two routes together.  Every computation here is a method of
-``MatherSolver(g, tm, profiles)``, cheap to build per call.
-
-alpha, beta and the flow LP below read sigma from the append-only ladder of
-``EdgeProfiles``, which any solver on those profiles grows one block at a
-time as far as its query needs; a solver extends its circuit sums block by
-block before it reads them, so answers are history-free.
-
-beta is the Fenchel conjugate of alpha: ``_refine_max``, the grid search
-that ``hopf_sup`` runs on grids projected onto a ball, maximizes
-<p, h> - alpha(p) on one 9^b grid per h, each level in one ``alpha_batch``
-call over all grids (in chunks of ``_ROW_CHUNK`` rows, so memory stays flat
-at b = 3), with at most ``_MAX_BOX_EXPANSIONS`` box doublings, and the exact
-alpha at each maximizer; ``beta(h)`` is a one-row batch, bit for bit.
 ``flow_oracle`` realizes beta independently as the minimal action of closed
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
@@ -34,6 +29,8 @@ ladder grows until every maximizing level is interior.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +38,12 @@ from scipy.optimize import brentq, linprog
 
 from .base_graph import BaseGraph, ThetaMap, rotation_vector
 from .cell_problem import enumerate_circuits
-from .edge_calculus import _LADDER_BLOCK, EdgeProfiles
-from .errors import BoxExpansionLimit, ConvergenceFailure, finite
+from .edge_calculus import _LADDER_BLOCK, EdgeProfiles, _concave_max
+from .errors import BudgetExceeded, ConvergenceFailure, finite
 
-DEFAULT_SEARCH_BOX = 4.0
-_MAX_BOX_EXPANSIONS = 40
 _SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
-_REFINE_PTS = 9  # grid points per axis of each conjugation refinement level
-_REFINE_LEVELS = 24  # halvings of every _refine_max search
+_FACE_BUDGET = 200_000  # row sets of one conjugation table; _face_table raises beyond
 _N_SPEEDS = 201  # speeds of the flow LP grid, 0 included
 
 
@@ -77,28 +71,24 @@ class ClosedFlow:
         return max(abs(x) for x in net.values())
 
 
-def _refine_max(objective, m: int, b: int, halfwidth: float):
-    """Best point seen and its value per row of m grid searches over R^b: per
-    level, ``objective`` maps the stacked 9^b grids (m, 9^b, b) to (m, 9^b) and
-    may move the points in place (onto a constraint set); each row recentres on
-    its best point, as moved, and halves the half-width."""
-    rows = np.arange(m)
-    grid = np.indices((_REFINE_PTS,) * b).reshape(b, -1).T  # C-order multi-indices
-    center = np.zeros((m, b))
-    best_p, best_val = center.copy(), np.full(m, -np.inf)
-    hw = halfwidth
-    for _ in range(_REFINE_LEVELS):
-        axes = np.linspace(center - hw, center + hw, _REFINE_PTS, axis=-1)  # (m, b, 9)
-        # (m, 9^b, b), C-contiguous so each row's BLAS call is the same
-        P = np.ascontiguousarray(axes[:, np.arange(b), grid])
-        vals = objective(P)
-        i = vals.argmax(axis=1)
-        top, center = vals[rows, i], P[rows, i]
-        better = top > best_val
-        best_val[better] = top[better]
-        best_p[better] = center[better]
-        hw /= 2.0
-    return best_p, best_val
+def _face_table(rows: np.ndarray, sizes):
+    """Every set of k independent rows, k in ``sizes``, as a face: its rows
+    (padded with n, whose rhs is 0), the map A from their rhs to the face's
+    least-norm point, and the projector N onto its directions (0 at vertices)."""
+    n, b = rows.shape
+    if (count := sum(math.comb(n, k) for k in sizes)) > _FACE_BUDGET:
+        raise BudgetExceeded(f"conjugation table of {count} row sets exceeds {_FACE_BUDGET}")
+    idx, A, N = [], [], []
+    for k in sizes:
+        J = np.array([*itertools.combinations(range(n), k)], np.intp).reshape(-1 if k else 1, k)
+        G = rows[J] @ rows[J].transpose(0, 2, 1)  # integer Gram matrices: det >= 1 or 0
+        keep = np.linalg.det(G) > 0.5
+        J, G = J[keep], G[keep]
+        Ak = rows[J].transpose(0, 2, 1) @ np.linalg.inv(G)
+        idx.append(np.pad(J, ((0, 0), (0, b - k)), constant_values=n))
+        A.append(np.pad(Ak, ((0, 0), (0, 0), (0, b - k))))
+        N.append(np.eye(b) - Ak @ rows[J] if k < b else np.zeros((len(J), b, b)))
+    return rows, *map(np.concatenate, (idx, A, N))
 
 
 class MatherSolver:
@@ -116,6 +106,7 @@ class MatherSolver:
             [[c.edges.count(e) for e in g.edge_order] for c in self.circuits],
             dtype=float).reshape(len(self.circuits), len(g.edge_order))
         self._S = np.empty((len(self.circuits), 0))
+        self._tables = {}  # hopf_sup's _face_table per D, built on first use
 
     # ----- the sigma ladder -----
 
@@ -180,56 +171,68 @@ class MatherSolver:
             val = max(val, float(root))
         return val
 
-    # ----- beta by conjugation -----
+    # ----- beta and Hopf's formula by conjugation -----
 
-    def beta_batch(self, H, search_box: float = DEFAULT_SEARCH_BOX) -> np.ndarray:
-        """beta at each row of H (shape (m, b)), with automatic box expansion.
+    def hopf_sup(self, q, t: float = 1.0, radius: float = np.inf,
+                 ord: float = np.inf) -> float:
+        """sup of <p, q> - t alpha(p) over D = {|p|_ord <= radius}, ord inf or 2
+        (R^b for an infinite radius): max over a of W(a) - t a (see the module
+        docstring), read as <p, q> - t alpha(p) at the best candidate p."""
+        q = np.asarray(q, dtype=float)
+        if not radius >= 0 or ord not in (2, np.inf):
+            raise ValueError(f"need radius >= 0 and ord 2 or inf, not {radius}, {ord}")
+        if not q.size:
+            return -t * self.alpha(q)
+        key, n_c = (ord if radius < np.inf else None), len(self.circuits)
+        if key not in self._tables:  # R^b, the box (its faces are rows) or the ball
+            b, rows = self.tm.betti, self.circuit_theta
+            if key == np.inf:
+                rows = np.concatenate([rows, np.eye(b), -np.eye(b)])
+            self._tables[key] = _face_table(rows, range(b + 1) if key == 2 else (b,))
+        rows, idx, A, N = self._tables[key]
+        rhs = np.r_[np.zeros(n_c), np.full(len(rows) - n_c, radius), 0.0]  # 0 pads faces
+        u = N @ q  # each face's direction of steepest ascent: unit, or 0 at vertices
+        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12 * np.abs(q).max() or 1)
 
-        Rows whose maximizer sits on the box boundary are re-run together at
-        twice the box, at most ``_MAX_BOX_EXPANSIONS`` times; every row is
-        computed as if it were alone.
-        """
-        H = np.atleast_2d(finite("rotation vectors H", H))
-        if H.shape[1] == 0:
-            return np.full(H.shape[0], -self.alpha(np.zeros(0)))
-        if not (search_box > 0 and np.isfinite(search_box * 2.0**_MAX_BOX_EXPANSIONS)):
-            raise ValueError(f"search_box must be positive and finite after "
-                             f"{_MAX_BOX_EXPANSIONS} doublings, not {search_box}")
-        out = np.empty(H.shape[0])
-        todo = np.arange(H.shape[0])
-        hw = float(search_box)
-        for _ in range(_MAX_BOX_EXPANSIONS + 1):
-            Ht = H[todo]
-            p_star, val = _refine_max(  # <p, h> - alpha(p) on each row's grid
-                lambda P: np.matmul(P, Ht[:, :, None])[..., 0]
-                - self.alpha_batch(P.reshape(-1, H.shape[1])).reshape(P.shape[:2]),
-                todo.size, H.shape[1], hw)
-            inside = np.abs(p_star).max(axis=1) < hw * (1 - 1e-9)
-            for k in np.nonzero(inside)[0]:
-                val[k] = p_star[k] @ H[todo[k]] - self.alpha(p_star[k])
-            out[todo[inside]] = val[inside]
-            todo = todo[~inside]
-            if not todo.size:
-                return out
-            hw *= 2.0
-        raise BoxExpansionLimit(
-            f"conjugation maximizer still on the boundary at box {hw}")
+        def level(a):
+            # W(a) (-inf if no candidate p of D has alpha(p) <= a), the best p, its face
+            rhs[:n_c] = self._circuit_edge_count @ self.profiles.sigma_all(a)
+            P = np.einsum("fij,fj->fi", A, rhs[idx])
+            if key == 2:
+                r2 = radius**2 - np.einsum("fi,fi->f", P, P)
+                P += np.sqrt(np.maximum(r2, 0.0))[:, None] * u
+            ok = (P @ rows.T - rhs[:-1]).max(axis=1) <= 1e-12 * (1 + np.abs(rhs).max())
+            vals = np.where(ok & (key != 2 or r2 >= 0.0), P @ q, -np.inf)
+            i = int(vals.argmax())
+            return vals[i], P[i], i
+
+        # the least a at which D meets {alpha <= a}: a0, or found by bisection
+        lo = hi = self.a0
+        while not np.isfinite(level(hi)[0]):
+            lo, hi = hi, self.a0 + 2.0 * (hi - self.a0 or 0.5)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if np.isfinite(level(mid)[0]) else (mid, hi)
+        best = [-np.inf, hi, None, None]  # f, level, candidate and face of the best
+
+        def f(a):
+            w, p, i = level(a)
+            if w - t * a > best[0]:
+                best[:] = w - t * a, a, p, i
+            return w - t * a
+
+        # Brent stops about sqrt(eps) |a - hi| from the optimum.  Skip it where
+        # W - t a falls from the least level, and where the best face changes
+        # within d of its best level (a kink of W), search again from there.
+        if f(hi + 1e-10 * (1.0 + abs(hi))) > f(hi):
+            _concave_max(lambda s: f(hi + s), 0.0)
+            a1, i1, d = best[1], best[3], 1e-7 * (1.0 + best[1] - hi)
+            if level(max(hi, a1 - d))[2] != i1 or level(a1 + d)[2] != i1:
+                _concave_max(lambda s: f(max(hi, a1 - d) + s), 0.0, hi_hint=2.0 * d)
+        return float(best[2] @ q) - t * self.alpha(best[2])
 
     def beta(self, h) -> float:
-        """sup over p of <p, h> - alpha(p): a one-row ``beta_batch``."""
-        return float(self.beta_batch(np.asarray(h, dtype=float)[None])[0])
-
-    def hopf_sup(self, q: np.ndarray, t: float, radius: float, ord: float) -> float:
-        """sup of <p, q> - t alpha(p) over the ball |p|_ord <= radius, ord inf or 2:
-        the grid search on grids clipped (inf) or scaled radially (2) onto the
-        ball, then the exact alpha at the best point."""
-        def objective(P):
-            n = np.linalg.norm(P, axis=-1, keepdims=True)
-            P[...] = (np.clip(P, -radius, radius) if ord == np.inf
-                      else P * (radius / np.maximum(n, radius or 1.0)))
-            return P @ q - t * self.alpha_batch(P.reshape(-1, q.size)).reshape(P.shape[:2])
-        p = _refine_max(objective, 1, q.size, radius)[0][0] if q.size else q
-        return float(p @ q) - t * self.alpha(p)
+        """Mather's beta: sup over p of <p, h> - alpha(p), a ``hopf_sup`` over R^b."""
+        return self.hopf_sup(finite("rotation vector h", h))
 
     # ----- beta by closed-flow linear programming -----
 

@@ -201,12 +201,17 @@ def test_config_sets_options_that_have_defaults(files, capsys):
 
 
 def test_config_values_are_validated(files, capsys):
-    cfg = files["tmp"] / "box.json"
-    cfg.write_text(json.dumps({"h": ["3,0"], "search_box": -1}))
-    assert main(["beta", "--graph", files["bouquet.json"],
-                 "--hamiltonians", files["bouquet_ham.json"],
-                 "--config", str(cfg)]) == 2
-    assert "search_box must be positive" in capsys.readouterr().err
+    cfg = files["tmp"] / "radius.json"
+    cfg.write_text(json.dumps({"radius": -1}))
+    assert main(_bouquet_args(files, *HOMOGENIZE, "--config", str(cfg))) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_beta_has_no_search_box(files):
+    """beta is exact over R^b, so it takes no search box."""
+    with pytest.raises(SystemExit) as exc:
+        main(_bouquet_args(files, "beta", "--h", "1,1", "--search-box", "4"))
+    assert exc.value.code == 2
 
 
 def test_repeatable_flag_replaces_config_list(files, capsys):
@@ -340,9 +345,7 @@ HOMOGENIZE = ["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25"]
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["beta", "--h", "0.5,0.25", "--search-box", "inf"], "--search-box"),
-    (["beta", "--h", "0.5,0.25", "--search-box", "1e308"], "search_box"),
-    (["beta", "--h", "0.5,0.25", "--search-box", "nan"], "--search-box"),
+    (HOMOGENIZE + ["--radius", "inf"], "--radius"),
     (["effective-hamiltonian", "--p", "nan,0"], "--p"),
     (["effective-hamiltonian", "--p", "inf,0"], "--p"),
     (["effective-hamiltonian", "--p-grid", "nan", "1", "3"], "--p-grid"),
@@ -356,7 +359,7 @@ HOMOGENIZE = ["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25"]
     (HOMOGENIZE + ["--datum", "linear", "--p-datum", "nan,0"], "--p-datum"),
     (["asymptotics", "--x", "x1", "--y", "x1", "--h-direction", "0.5,0",
       "--T-list", "8,nan"], "--T-list"),
-], ids=["search-box-inf", "search-box-1e308", "search-box-nan", "p-nan", "p-inf",
+], ids=["radius-inf", "p-nan", "p-inf",
         "p-grid-nan", "h-nan", "T-nan", "T-inf", "samples-t-nan", "eps-nan",
         "radius-nan", "c-nan", "p-datum-nan", "T-list-nan"])
 def test_rejects_non_finite_numbers(files, capsys, argv, flag):
@@ -368,6 +371,6 @@ def test_rejects_non_finite_numbers(files, capsys, argv, flag):
 
 def test_config_numbers_must_be_finite(files, capsys):
     cfg = files["tmp"] / "nan.json"
-    cfg.write_text('{"h": ["1,1"], "search_box": NaN}')
-    assert main(_bouquet_args(files, "beta", "--config", str(cfg))) == 2
-    assert "--search-box nan is not a finite number" in capsys.readouterr().err
+    cfg.write_text('{"radius": NaN}')
+    assert main(_bouquet_args(files, *HOMOGENIZE, "--config", str(cfg))) == 2
+    assert "--radius nan is not a finite number" in capsys.readouterr().err

@@ -97,10 +97,29 @@ def test_limit_concave_cone_is_least_linear_piece(honeycomb_cos_quarter):
 
 def test_limit_matches_lattice_value_at_b3(k4_mixed):
     h = (0.5, 0.25, 0.0)
-    got = limit_solution(*k4_mixed, ConeDatum(1.5), h, 1.0)
-    u_eps = epsilon_solution(*k4_mixed, ConeDatum(1.5), _vertex("a", h, 1 / 4), 1.0, 1 / 4)
-    assert got == pytest.approx(u_eps, abs=1e-9)
-    assert got == pytest.approx(0.625, abs=1e-9)
+    # the tabulated datum's balls |p|_2 <= 1 meet faces of 0, 1 and 2 circuit
+    # rows on the 3-d sphere
+    table = TabulatedDatum(((0, 0, 0), (1, 0.5, 0), (-0.5, 1, 0.5)), (0.3, -0.2, 0.5), 1.0)
+    for datum, want in ((ConeDatum(1.5), 0.625), (table, -0.14098300562505256)):
+        got = limit_solution(*k4_mixed, datum, h, 1.0)
+        u_eps = epsilon_solution(*k4_mixed, datum, _vertex("a", h, 1 / 4), 1.0, 1 / 4)
+        assert got == pytest.approx(u_eps, abs=1e-9)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_limit_cone_maximizer_on_the_box_face(drifted_loop):
+    # alpha(p) = p^2/2 + 2p: sup over |p| <= 0.8 of 0.3 p - alpha(p) sits at
+    # p = -0.8, where alpha = -1.28 is the least level that meets the box
+    got = limit_solution(*drifted_loop, ConeDatum(0.8), (0.3,), 1.0)
+    assert got == pytest.approx(1.04, abs=1e-9)
+
+
+def test_limit_cone_of_slope_zero(drifted_loop, honeycomb_cos):
+    """The box |p|_inf <= 0 is {0}: the limit is -t H_eff(0)."""
+    for net, h in ((drifted_loop, (0.3,)), (honeycomb_cos, (0.5, -0.25))):
+        got = limit_solution(*net, ConeDatum(0.0), h, 2.0)
+        assert got == pytest.approx(-2.0 * effective_hamiltonian(*net, np.zeros(len(h))),
+                                    abs=1e-9)
 
 
 @pytest.mark.parametrize("datum, h, match", [

@@ -1,17 +1,18 @@
 import gc
-import itertools
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjnet import build_graph, mather, spanning_tree, theta_map
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
-from hjnet.errors import BoxExpansionLimit
+from hjnet.errors import BudgetExceeded
 from hjnet.homogenize import ConeDatum, limit_solution
 from hjnet.mather import MatherSolver
 
-from conftest import BOUQUET_SPEC
+from conftest import BOUQUET_SPEC, networks
 from oracles import beta_flow_oracle, conjugate_pair_check
 
 NAN, INF = float("nan"), float("inf")
@@ -55,20 +56,11 @@ class TestBetaConjugation:
         ratios = [solver.beta(t * h) / t for t in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    def test_box_expansion_limit(self, bouquet_free, monkeypatch):
-        solver = MatherSolver(*bouquet_free)
-        with monkeypatch.context() as m:
-            m.setattr(mather, "_MAX_BOX_EXPANSIONS", 0)
-            with pytest.raises(BoxExpansionLimit):
-                solver.beta_batch([(4.0, 0.0)], search_box=0.5)
-        with pytest.raises(ValueError):
-            solver.beta_batch([(1.0, 0.0)], search_box=-1.0)
-
-    @pytest.mark.parametrize("box", [np.nan, np.inf, 1e308])
-    def test_search_box_must_stay_finite(self, bouquet_free, box):
-        """A box that is not finite after every doubling is an input error."""
-        with pytest.raises(ValueError, match="search_box must be positive"):
-            MatherSolver(*bouquet_free).beta_batch([(1.0, 0.0)], search_box=box)
+    def test_beta_not_below_a_witness_at_a_kink(self, honeycomb_cos):
+        # <p_w, h> - H_eff(p_w) bounds beta(h) below; a grid search that
+        # stalls at the kink of alpha near p_w reads 5.97e-4 short
+        got = MatherSolver(*honeycomb_cos).beta((-0.149, 0.889))
+        assert got >= 1.5461297451006237 - 1e-9
 
 
 class TestFlowOracle:
@@ -134,17 +126,17 @@ class TestConjugatePairs:
         assert not conjugate_pair_check(g, tm, profs, (1.0, 0.0), (0.0, 1.0))
 
 
-def conjugate_of_beta(solver, p, box=12.0, levels=16):
+def conjugate_of_beta(solver, p, box=6.0, levels=10):
     """Numerical biconjugation sup_h <p,h> - beta(h), refined on a grid."""
     p = np.asarray(p, dtype=float)
     center = np.zeros(p.size)
     hw = box
     best = -np.inf
     for _ in range(levels):
-        axes = [np.linspace(center[i] - hw, center[i] + hw, 7)
+        axes = [np.linspace(center[i] - hw, center[i] + hw, 5)
                 for i in range(p.size)]
         H = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.size)
-        vals = H @ p - solver.beta_batch(H)
+        vals = H @ p - np.array([solver.beta(h) for h in H])
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         center = H[i]
@@ -221,48 +213,23 @@ def test_lagrangian_grid_is_certified(honeycomb_cos):
             assert cost == pytest.approx(want, abs=1e-6)
 
 
-def test_beta_batch_rows_independent(honeycomb_cos, monkeypatch):
-    """Each beta_batch row is bit-identical to beta of that row alone."""
+def test_beta_batch_rows_independent(honeycomb_cos):
+    """beta over a batch of rows, in any order, equals beta of each row on a
+    solver of its own; b = 0 (a tree) gives -alpha = -a0."""
     rng = np.random.default_rng(21)
-    # |h| near 6 keeps the maximizer on the default box: those rows expand
     H = np.concatenate([[[6.0, 0.5], [-5.8, 6.1], [0.0, 0.0]],
                         rng.uniform(-2, 2, size=(5, 2))])
+    want = [MatherSolver(*_fresh(honeycomb_cos)).beta(h) for h in H]
     solver = MatherSolver(*_fresh(honeycomb_cos))
-    want = [solver.beta_batch(h[None])[0] for h in H]
     order = rng.permutation(len(H))
-    assert solver.beta_batch(H).tolist() == want
-    assert solver.beta_batch(H[order]).tolist() == [want[i] for i in order]
-    assert [solver.beta(h) for h in H] == solver.beta_batch(H).tolist()
-    with monkeypatch.context() as m:
-        m.setattr(mather, "_MAX_BOX_EXPANSIONS", 0)
-        with pytest.raises(BoxExpansionLimit):
-            solver.beta_batch(H)
-    with pytest.raises(ValueError):
-        solver.beta_batch(H, search_box=0.0)
+    assert [solver.beta(H[i]) for i in order] == [want[i] for i in order]
 
-    # b = 3: a batch of 3 x 9^3 grid rows per level crosses chunk boundaries
-    g = build_graph({"vertices": list("abcd"),
-                     "edges": [{"id": f"k{u}{v}", "from": u, "to": v}
-                               for u, v in itertools.combinations("abcd", 2)]})
-    tm = theta_map(g, spanning_tree(g))
-    drift = {"kab": 0.25, "kbc": -0.15, "kcd": 0.4}
-    solver = MatherSolver(g, tm, build_profiles(g, {
-        e: QuadraticEdgeModel(drift=TrigPoly(const=drift.get(e, 0.0)),
-                              potential=TrigPoly(cos=(-0.5,)))
-        for e in g.orientation}))
-    H = rng.uniform(-1, 1, size=(3, 3))
-    want = [solver.beta(h) for h in H]
-    monkeypatch.setattr(mather, "_ROW_CHUNK", 500)
-    assert solver.beta_batch(H).tolist() == want
-
-    # b = 0: a tree, beta = -alpha = -a0 on every row
     g = build_graph({"vertices": ["u", "w"],
                      "edges": [{"id": "t", "from": "u", "to": "w"}]})
     profs = build_profiles(g, {"t": QuadraticEdgeModel(
         potential=TrigPoly(cos=(-1.0,)))})
     solver = MatherSolver(g, theta_map(g, spanning_tree(g)), profs)
-    assert solver.beta_batch(np.zeros((2, 0))).tolist() == [-profs.a0] * 2
-    assert solver.beta(()) == -profs.a0
+    assert solver.beta(()) == solver.beta(np.zeros(0)) == -profs.a0
 
 
 def test_network_is_freed_after_use():
@@ -293,11 +260,28 @@ def test_solvers_share_the_ladder(honeycomb_cos):
     assert one.beta((1.0, -0.5)) == alone.beta((1.0, -0.5))
 
 
+def test_conjugation_table_has_a_budget(honeycomb_cos, monkeypatch):
+    """Nine circuits at b = 2: the ball's table counts 1 + 9 + 36 row sets."""
+    solver = MatherSolver(*honeycomb_cos)
+    monkeypatch.setattr(mather, "_FACE_BUDGET", 46)
+    assert solver.hopf_sup((0.5, 0.25), 1.0, 1.0, 2) > -np.inf
+    monkeypatch.setattr(mather, "_FACE_BUDGET", 45)
+    with pytest.raises(BudgetExceeded, match="table of 46 row sets exceeds 45"):
+        MatherSolver(*honeycomb_cos).hopf_sup((0.5, 0.25), 1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("radius, ord", [(-1.0, 2), (NAN, np.inf), (1.0, 1)],
+                         ids=["negative", "nan", "ord-1"])
+def test_hopf_sup_rejects_unknown_dual_sets(honeycomb_cos, radius, ord):
+    with pytest.raises(ValueError, match="need radius >= 0 and ord 2 or inf"):
+        MatherSolver(*honeycomb_cos).hopf_sup((0.5, 0.25), 1.0, radius, ord)
+
+
 @pytest.mark.parametrize("method, arg, name", [
-    ("beta_batch", [[NAN, 0.25]], "H"), ("beta_batch", [[INF, 0.25]], "H"),
+    ("beta", (NAN, 0.25), "h"), ("beta", (INF, 0.25), "h"),
     ("alpha", (NAN, 0.0), "p"), ("alpha", (INF, 0.0), "p"),
     ("alpha_batch", [[NAN, 0.0]], "P"), ("alpha_batch", [[INF, 0.0]], "P"),
-], ids=["beta_batch-nan", "beta_batch-inf", "alpha-nan", "alpha-inf",
+], ids=["beta-nan", "beta-inf", "alpha-nan", "alpha-inf",
         "alpha_batch-nan", "alpha_batch-inf"])
 def test_rejects_non_finite_input(honeycomb_cos, method, arg, name):
     """Before the ladder grows by a block."""
