@@ -10,10 +10,10 @@ a >= a0 the cheapest lifted path from (x, 0) to (y, h) under the weights
 sigma(e, a) is found by Dijkstra on the crystal restricted to a rotation box
 (``BoxGraph``), with one Johnson potential from the cell problem at a0
 keeping every reweighted sigma(e, a) >= 0; each search stops once the target
-is settled (at the hop bound of ``BoxGraph.distances(at=)``).  The bound
-max_a [Psi_a(x,y,h) - a T] is concave in a and is maximized by the library's
-one bracketed concave search, ``edge_calculus._concave_max``, which
-``path_action`` and ``EdgeProfile.lagrangian`` use too.  The clamp a >= a0
+is settled and returns a walk attaining it (``BoxGraph.walk``).  The bound
+max_a [Psi_a(x,y,h) - a T], Psi_a the least walk weight C sigma(a), is concave
+in a; ``_dual_max`` maximizes it by cutting planes on the walks found, with
+the library's one concave search ``edge_calculus._concave_max``.  The clamp a >= a0
 (instead of the per-path max of critical values) costs at most a
 T-independent additive constant, realized by bounded detours through the
 spanning tree; only T-normalized quantities enter the acceptance checks.
@@ -33,8 +33,10 @@ import numpy as np
 from .base_graph import BaseGraph, Path, ThetaMap
 from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
 from .edge_calculus import EdgeProfiles, _concave_max
-from .errors import Unreachable, finite, integral
+from .errors import BudgetExceeded, Unreachable, finite, integral
 from .mather import MatherSolver
+
+_DUAL_SEARCHES = 16  # walk searches of one _dual_max before BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def path_action(profiles: EdgeProfiles, support: Path, T: float) -> float:
     def f(a):
         return sum(float(profiles[e].sigma(a)) for e in support.edges) - a * T
 
-    return _concave_max(f, a_hat, hi_hint=max(1.0, (len(support.edges) / T) ** 2))
+    return _concave_max(f, a_hat, hi_hint=max(1.0, (len(support.edges) / T) ** 2))[0]
 
 
 def crystal_potential(g: BaseGraph, tm: ThetaMap,
@@ -94,7 +96,7 @@ class LiftedReach:
     ``dist`` has shape (n_a, |V0|, 2r+1, ..., 2r+1), one box axis per
     homology dimension, batched over the level grid ``a_values``; a reverse
     box gives walks INTO the source.  Levels must be >= a0.  The library's
-    own searches read ``BoxGraph`` directly: ``min_action`` one node per
+    own searches read ``BoxGraph`` directly: ``min_action`` one walk per
     level, ``epsilon_solution`` one streamed level at a time.
     """
 
@@ -118,10 +120,13 @@ class LiftedReach:
 def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                query: ActionQuery) -> float:
     """Dual minimal-action bound max_{a >= a0} [Psi_a(x, y, h) - a T], concave
-    in a; ``_concave_max`` runs one Dijkstra search per evaluation."""
+    in a; ``_dual_max`` certifies it in a few Dijkstra searches."""
     if not 0 < query.T < np.inf:
         raise ValueError(f"T must be positive and finite, not {query.T}")
     h = np.asarray(query.h, dtype=int)
+    if h.shape != (tm.betti,):
+        raise ValueError(f"rotation vector h must have b = {tm.betti} entries, "
+                         f"not {query.h}")
     radius = query.radius()
     if np.max(np.abs(h), initial=0) > radius:
         raise Unreachable(f"h = {query.h} lies outside the rotation box of "
@@ -134,18 +139,33 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
             f"within radius {radius}")
     offset = max(1.0, 2.0 * ((np.abs(h).sum() + len(g.vertices)) / query.T) ** 2)
     return _dual_max(box, profiles, crystal_potential(g, tm, profiles), target,
-                     query.T, offset)
+                     query.T, offset)[0]
 
 
 def _dual_max(box: BoxGraph, profiles: EdgeProfiles, potential: Potential,
-              target, T: float, hi_hint: float) -> float:
-    """max_{a >= a0} [Psi_a - a T], Psi_a the box's walk weight at node ``target``:
-    ``_concave_max`` with one hop-bounded Dijkstra search per evaluation."""
-    def dual(a: float) -> float:
-        psi = box.distances(profiles.sigma_all([a]).T, potential, at=target)
-        return float(psi[0]) - a * T
+              target, T: float, hi_hint: float) -> tuple[float, np.ndarray]:
+    """max_{a >= a0} [Psi_a - a T], Psi_a the least walk weight to ``target``, and
+    the edge counts of the last walk found, by cutting planes (Kelley 1960): a
+    walk's weight C sigma(a) is concave and never below Psi_a, so the least of
+    those found bounds Psi_a from above; each search runs where that model,
+    minus a T, peaks, until it returns a walk already found, where model and
+    dual agree.  Returns the best dual value evaluated (a witness)."""
+    def model(s):
+        return float((C @ profiles.sigma_all(s)).min()) - s * T
 
-    return _concave_max(dual, profiles.a0, hi_hint=hi_hint)
+    C, best, a = np.zeros((0, len(box.edges)), dtype=int), -np.inf, profiles.a0
+    for _ in range(_DUAL_SEARCHES):
+        psi, counts = box.walk(profiles.sigma_all(a), potential, target)
+        best = max(best, psi - a * T)
+        if (C == counts).all(axis=1).any():
+            return best, counts
+        C = np.vstack([C, counts])
+        a = _concave_max(model, profiles.a0, hi_hint)[1]
+        # at a kink Brent reads low by sqrt(eps) |a| times the slope's jump
+        lo = max(profiles.a0, a - 1e-7 * (1.0 + abs(a)))
+        if len({int(np.argmin(C @ profiles.sigma_all(s))) for s in (lo, 2 * a - lo)}) > 1:
+            a = lo + _concave_max(lambda s: model(lo + s), 0.0, hi_hint=a - lo)[1]
+    raise BudgetExceeded(f"each of {_DUAL_SEARCHES} dual searches found a new walk")
 
 
 @dataclass
@@ -163,6 +183,9 @@ def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     if not all(0 < T < np.inf for T in T_list):
         raise ValueError(f"every T must be positive and finite, not {T_list}")
     direction = finite("h_direction", h_direction)
+    if direction.shape != (tm.betti,):
+        raise ValueError(f"h_direction must have b = {tm.betti} entries, "
+                         f"not {h_direction}")
     solver = MatherSolver(g, tm, profiles)
     hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
     phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h)) / T

@@ -25,8 +25,8 @@ search stops there (``dijkstra(limit=)``, the hop-count case of the
 consistent-heuristic pruning of Hart, Nilsson and Raphael 1968).  Every
 node within k arcs keeps its distance bit for bit; nodes farther out may
 read inf.  ``BoxGraph.levels`` yields one level at a time, so a caller can
-reduce over levels without stacking them; ``BoxGraph.distances`` reads one
-node of each.
+reduce over levels without stacking them; ``BoxGraph.walk`` reads one node of
+one level, with a shortest walk to it from the search's predecessors.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class BoxGraph:
     (levels x arcs) weight array is ever stored.  With ``reverse=True`` every
     arc points backwards and searches give walk weights INTO the source.
     ``hops`` gives graph distances, ``levels`` streams weighted searches over
-    the box and ``distances`` reads one node of each.
+    the box and ``walk`` reads one node of one search, with a walk to it.
     """
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
@@ -262,26 +262,42 @@ class BoxGraph:
         if potential.d.any() or potential.p.any():
             unshift = self._unshift(potential)
         for w in np.atleast_2d(np.asarray(weights, dtype=float)):
-            w_red = reduced_weights(w, shift)
-            np.take(w_red, self._arc_edge, out=self._graph.data)
-            # the k arcs of a shortest-hop walk weigh at most k max(w_red);
-            # their float sum can exceed that by about k ulps, which the
-            # relative slack covers for any box that fits in memory
-            limit = np.inf
-            if np.isfinite(max_hops):
-                limit = max_hops * w_red.max(initial=0.0) * (1.0 + 1e-9)
-            d = dijkstra(self._graph, indices=self._source,
-                         limit=limit).reshape(self.shape)
+            d = self._search(w, shift, max_hops).reshape(self.shape)
             if unshift is not None:
                 d += unshift
             yield d
 
-    def distances(self, weights, potential: Potential, at) -> np.ndarray:
-        """Least walk weights from the source to the single node ``at`` (an
-        ``index`` of this box), shape (levels,): one search per row of
-        ``weights``, each stopping at the hop bound ``hops()[at]``."""
-        return np.array([d[at] for d in
-                         self.levels(weights, potential, self.hops()[at])])
+    def walk(self, w, potential: Potential, at) -> tuple[float, np.ndarray]:
+        """Least walk weight to the node ``at`` at one level ``w`` (that of
+        ``levels`` bit for bit, searched to the hop bound ``hops()[at]``) and
+        the edge counts of one such walk, by predecessors; a box has no parallel
+        arcs (edges with the same ends differ in theta).  Unreached: inf, none."""
+        v = node = int(np.ravel_multi_index(at, self.shape))
+        d, pred = self._search(np.asarray(w, dtype=float),
+                               potential.edge_shift(self.g, self.tm),
+                               self.hops()[at], predecessors=True)
+        g = self._graph
+        counts = np.zeros(len(self.edges), dtype=int)
+        while (u := int(pred[v])) >= 0:  # the source and unreached nodes have none
+            arc = g.indptr[u] + np.flatnonzero(g.indices[g.indptr[u]:g.indptr[u + 1]] == v)[0]
+            counts[self._arc_edge[arc]] += 1
+            v = u
+        phi = self._unshift(potential)[at] if potential.d.any() or potential.p.any() else 0.0
+        return float(d[node] + phi), counts
+
+    def _search(self, w, shift, max_hops, predecessors=False):
+        """One Dijkstra search from the source under the reduced weights of
+        ``w``, stopping at the reduced distance that covers ``max_hops`` arcs."""
+        w_red = reduced_weights(w, shift)
+        np.take(w_red, self._arc_edge, out=self._graph.data)
+        # the k arcs of a shortest-hop walk weigh at most k max(w_red);
+        # their float sum can exceed that by about k ulps, which the
+        # relative slack covers for any box that fits in memory
+        limit = np.inf
+        if np.isfinite(max_hops):
+            limit = max_hops * w_red.max(initial=0.0) * (1.0 + 1e-9)
+        return dijkstra(self._graph, indices=self._source, limit=limit,
+                        return_predecessors=predecessors)
 
     def _unshift(self, potential: Potential) -> np.ndarray:
         """Phi(x, h) - Phi(source) per box node, signed by the search direction.

@@ -357,12 +357,12 @@ def critical_value(model) -> float:
     return best
 
 
-def _concave_max(f, lo: float, hi_hint: float = 1.0) -> float:
-    """Max of a concave function on [lo, inf): doubling bracket (one evaluation
-    per doubling, whose midpoint is the last upper end), then bounded Brent,
-    which stops about sqrt(eps) |a| + _CONCAVE_XATOL / 3 from the maximizer a
-    (4.5e-9 at a = 0.3), so a kinked maximum reads low by up to that times the
-    jump of f' there."""
+def _concave_max(f, lo: float, hi_hint: float = 1.0) -> tuple[float, float]:
+    """Max of a concave function on [lo, inf) and a level attaining it:
+    doubling bracket (one evaluation per doubling, whose midpoint is the last
+    upper end), then bounded Brent, which stops about sqrt(eps) |a| +
+    _CONCAVE_XATOL / 3 from the maximizer a (4.5e-9 at a = 0.3), so a kinked
+    maximum reads low by up to that times the jump of f' there."""
     step = max(hi_hint, 1e-6)
     f_hi = f(lo + step)
     f_mid = f(lo + 0.5 * step)
@@ -373,7 +373,7 @@ def _concave_max(f, lo: float, hi_hint: float = 1.0) -> float:
         f_mid, f_hi = f_hi, f(lo + step)
     res = minimize_scalar(lambda a: -f(a), bounds=(lo, lo + step),
                           method="bounded", options={"xatol": _CONCAVE_XATOL})
-    return max(float(-res.fun), float(f(lo)))
+    return max((float(-res.fun), float(res.x)), (float(f(lo)), lo))
 
 
 def _increasing_root(f, lo: float, xtol: float) -> float:
@@ -441,7 +441,7 @@ class EdgeProfile:
         if lam == 0:
             return -self.a_e
         return _concave_max(lambda a: lam * self.sigma(a) - a, self.a_e,
-                            max(1.0, lam**2))
+                            max(1.0, lam**2))[0]
 
     def action(self, T: float) -> float:
         """Minimal Lagrangian action to traverse the edge in time T."""

@@ -13,9 +13,9 @@ reverse crystal box around z (``crystal.BoxGraph``).  The minimum is found by
 lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
 the box, each level a Dijkstra search that stops once the ball (at most R/eps
 arcs from z) is settled, into a running max: a lower bound per vertex.  The
-least bound is then made exact (``action._dual_max``) until it already is,
-which makes it the minimum.  The limit solution is the Hopf-Lax value
-inf over h0 of [g(h0) + t beta((h - h0)/t)].  As alpha is convex and g is the
+least bound is made exact (``action._dual_max``, by cutting planes) until it
+already is, which makes it the minimum.  The limit solution is the Hopf-Lax
+value inf over h0 of [g(h0) + t beta((h - h0)/t)].  As alpha is convex and g is the
 least of convex pieces v_i + sup over p in D_i of <p, h - x_i>, Hopf's formula
 (Hopf 1965; Bardi and Evans 1984) gives it as the least over i of
 v_i + sup over p in D_i of <p, h - x_i> - t alpha(p), with no beta: a closed
@@ -239,7 +239,7 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
     # certify: a least lower bound that is exact is the minimum
     exact = np.zeros(box.shape, dtype=bool)
     while not exact[(w := np.unravel_index(np.argmin(u), u.shape))]:
-        dual = _dual_max(box, profiles, potential, w, T, offset)
+        dual = _dual_max(box, profiles, potential, w, T, offset)[0]
         u[w] = max(u[w], g_vals[w[1:]] + eps * dual)
         exact[w] = True
     return float(u[w]), bool(hops[w] > hops_allowed - 1.5)

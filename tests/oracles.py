@@ -166,7 +166,7 @@ def sweep_reach(g, tm, profiles, source_vertex, source_h, radius, a_values,
 def sweep_weights(g, tm, weights, source_vertex, radius, reverse=False):
     """``sweep_reach`` for given weights of shape (levels, len(g.edges)).
 
-    Columns follow ``sorted(g.edges)``, as in ``BoxGraph.distances``.
+    Columns follow ``sorted(g.edges)``, as in ``BoxGraph.levels``.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     b, n = tm.betti, 2 * radius + 1
@@ -229,7 +229,7 @@ def min_action_exact_oracle(g, tm, profiles, query, edge_cap,
                         - a * query.T)
 
             val = _concave_max(f, clamp,
-                               hi_hint=max(1.0, (len(edges) / query.T) ** 2))
+                               hi_hint=max(1.0, (len(edges) / query.T) ** 2))[0]
         memo[key] = val
         return val
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hjnet import Path, build_graph, spanning_tree, theta_map
-from hjnet.action import (ActionQuery, LiftedReach, asymptotics_scan,
-                          min_action, path_action)
+from hjnet import Path, action, build_graph, crystal, spanning_tree, theta_map
+from hjnet.action import (ActionQuery, LiftedReach, _dual_max, asymptotics_scan,
+                          crystal_potential, min_action, path_action)
 from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
-from hjnet.errors import Unreachable
+from hjnet.errors import BudgetExceeded, Unreachable
 
 from oracles import allocation_grid_action, min_action_exact_oracle
 
@@ -117,6 +117,14 @@ def test_psi_concave_in_a(honeycomb_cos):
     assert (psi[1:-1] >= (psi[:-2] + psi[2:]) / 2 - 1e-10).all()
 
 
+DENSE_GRID_CASES = [
+    ("honeycomb_cos", "x1", "x2", 16.0, (7, 3)),
+    ("honeycomb_cos", "x1", "x1", 5.0, (-1, 2)),
+    ("k4_drift", "a", "b", 8.0, (-2, 0, -3)),
+    ("k4_drift", "c", "c", 6.0, (1, 1, 0)),
+]
+
+
 def _grid_dual_max(g, tm, profs, q, top, n=101, rounds=8):
     """Max of Psi_a - a T over level grids of a LiftedReach on min_action's
     box: n levels on [a0, top], then n levels between the neighbours of the
@@ -134,18 +142,105 @@ def _grid_dual_max(g, tm, profs, q, top, n=101, rounds=8):
     return best
 
 
-@pytest.mark.parametrize("network, x, y, T, h", [
-    ("honeycomb_cos", "x1", "x2", 16.0, (7, 3)),
-    ("honeycomb_cos", "x1", "x1", 5.0, (-1, 2)),
-    ("k4_drift", "a", "b", 8.0, (-2, 0, -3)),
-    ("k4_drift", "c", "c", 6.0, (1, 1, 0)),
-])
+@pytest.mark.parametrize("network, x, y, T, h", DENSE_GRID_CASES)
 def test_min_action_matches_dense_level_grid(request, network, x, y, T, h):
     g, tm, profs = request.getfixturevalue(network)
     q = ActionQuery(x, y, T, h)
     got = min_action(g, tm, profs, q)
     assert got == pytest.approx(_grid_dual_max(g, tm, profs, q, profs.a0 + 16.0),
                                 abs=1e-9)
+
+
+def test_min_action_needs_few_searches(request, monkeypatch):
+    """The cutting planes certify the dual in a few weighted box searches
+    (about 28 with Brent on the dual itself)."""
+    searches, dijkstra = [], crystal.dijkstra
+
+    def counted(*args, **kw):
+        searches.append(not kw.get("unweighted", False))
+        return dijkstra(*args, **kw)
+
+    monkeypatch.setattr(crystal, "dijkstra", counted)
+    for network, x, y, T, h in DENSE_GRID_CASES:
+        searches.clear()
+        min_action(*request.getfixturevalue(network), ActionQuery(x, y, T, h))
+        assert 2 <= sum(searches) <= 4
+
+
+@pytest.fixture(scope="module")
+def two_route_graph():
+    """The loop L at y, reached from x over the edge a or over b, c: on the
+    walks from (x, 0) to (x, theta(L)) the route over a is the dearer at a0
+    and the flatter in a, so at T = 3 the dual peaks where the two tie."""
+    g = build_graph({"vertices": ["x", "y", "w"],
+                     "edges": [{"id": "a", "from": "x", "to": "y"},
+                               {"id": "b", "from": "x", "to": "w"},
+                               {"id": "c", "from": "w", "to": "y"},
+                               {"id": "L", "from": "y", "to": "y"}]})
+    tm = theta_map(g, spanning_tree(g))
+    profs = build_profiles(g, {"a": QuadraticEdgeModel(potential=TrigPoly(const=-1.0)),
+                               "b": QuadraticEdgeModel(), "c": QuadraticEdgeModel(),
+                               "L": QuadraticEdgeModel()})
+    return g, tm, profs
+
+
+def test_dual_max_at_a_tie_of_two_walks(two_route_graph, monkeypatch):
+    g, tm, profs = two_route_graph
+    q = ActionQuery("x", "x", 3.0, tuple(tm.theta["L"]))
+    walks, walk = [], BoxGraph.walk
+
+    def spied(box, *args):
+        out = walk(box, *args)
+        walks.append(tuple(out[1]))
+        return out
+
+    monkeypatch.setattr(BoxGraph, "walk", spied)
+    got = min_action(g, tm, profs, q)
+    assert len(set(walks)) == 2
+    assert got == pytest.approx(_grid_dual_max(g, tm, profs, q, profs.a0 + 16.0),
+                                abs=1e-9)
+
+
+def test_dual_max_search_cap(two_route_graph, monkeypatch):
+    q = ActionQuery("x", "x", 3.0, tuple(two_route_graph[1].theta["L"]))
+    monkeypatch.setattr(action, "_DUAL_SEARCHES", 1)
+    with pytest.raises(BudgetExceeded, match="each of 1 dual searches"):
+        min_action(*two_route_graph, q)
+
+
+def _dual_and_walk(g, tm, profs, q):
+    """``_dual_max`` on min_action's box: the dual and its last walk's support."""
+    box = BoxGraph(g, tm, CrystalVertex(q.x, (0,) * tm.betti), q.radius())
+    value, counts = _dual_max(box, profs, crystal_potential(g, tm, profs),
+                              box.index(q.y, q.h), q.T, 1.0)
+    return value, Path(tuple(np.repeat(box.edges, counts)))
+
+
+def test_last_walk_bounds_the_action_from_above(bouquet_free, honeycomb_cos,
+                                                mixed_path_graph):
+    """path_action on the last walk's support is a primal bound: never below
+    min_action, on the fixtures of criteria 6 and 9."""
+    cases = ([(bouquet_free, ActionQuery("v", "v", 8.0, (4, 0)))]
+             + [(bouquet_free, ActionQuery("v", "v", T, (2, 1)))
+                for T in (2.0, 4.0, 8.0, 16.0)]
+             + [(honeycomb_cos, ActionQuery("x1", "x2", T, (int(0.45 * T), int(0.2 * T))))
+                for T in (8.0, 16.0, 32.0, 64.0)])
+    for net, q in cases:
+        value, support = _dual_and_walk(*net, q)
+        assert value == pytest.approx(min_action(*net, q), abs=1e-12)
+        assert path_action(net[2], support, q.T) >= value - 1e-12
+    # the chain's closed walk x -> x is empty: its primal needs the detour
+    # that the criterion-9 constant measures
+    _, support = _dual_and_walk(*mixed_path_graph, ActionQuery("x", "x", 8.0, ()))
+    assert not support.edges
+
+
+@pytest.mark.parametrize("h", [(2,), (2, 1, 0)], ids=["short", "long"])
+def test_wrong_length_h_rejected(honeycomb_cos, h):
+    with pytest.raises(ValueError, match="rotation vector h must have b = 2"):
+        min_action(*honeycomb_cos, ActionQuery("x1", "x2", 8.0, h))
+    with pytest.raises(ValueError, match="h_direction must have b = 2"):
+        asymptotics_scan(*honeycomb_cos, "x1", "x2", h, [8.0])
 
 
 class TestExactOracle:

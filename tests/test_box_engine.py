@@ -20,6 +20,7 @@ from hjnet.action import ActionQuery, LiftedReach, crystal_potential, min_action
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import (BoxGraph, Crystal, CrystalVertex, Potential,
                            reduced_weights)
+from hjnet.edge_calculus import _concave_max
 from hjnet.errors import NegativeReducedWeight
 from hjnet.homogenize import ConeDatum, LinearDatum, epsilon_solution
 
@@ -87,14 +88,40 @@ def test_hop_bound_keeps_every_node_within_it(net, data):
         y = data.draw(st.sampled_from(g.vertices))
         h1 = tuple(c + data.draw(st.integers(-radius, radius)) for c in h0)
         at = box.index(y, h1)
-        np.testing.assert_array_equal(box.distances(w, pot, at=at),
-                                      full[(slice(None),) + at])
+        for row, dist in zip(w, full):
+            psi, counts = box.walk(row, pot, at)
+            assert psi == dist[at]
+            if np.isfinite(psi):  # the counts form a walk of that weight
+                _assert_walk(g, tm, counts, x, h0, y, h1, reverse)
+                np.testing.assert_allclose(counts @ row, psi, rtol=0, atol=1e-9)
+
+
+def _assert_walk(g, tm, counts, x, h0, y, h1, reverse):
+    """Edge counts of a walk from (x, h0) to (y, h1), or into it if reverse:
+    every vertex but the ends balances, and theta sums to the h difference."""
+    if reverse:
+        x, h0, y, h1 = y, h1, x, h0
+    net = np.zeros(len(g.vertices), dtype=int)
+    np.add.at(net, g.terminus_index, counts)
+    np.subtract.at(net, g.origin_index, counts)
+    want = np.zeros(len(g.vertices), dtype=int)
+    want[g.vertices.index(y)] += 1
+    want[g.vertices.index(x)] -= 1
+    np.testing.assert_array_equal(net, want)
+    np.testing.assert_array_equal(counts @ tm.matrix, np.subtract(h1, h0))
 
 
 def _unbounded_dijkstra(monkeypatch):
-    """Make every crystal search ignore its hop bound."""
-    monkeypatch.setattr(crystal, "dijkstra",
-                        lambda *args, limit=np.inf, **kw: dijkstra(*args, **kw))
+    """Make every crystal search ignore its hop bound; counts the bounded
+    searches it replaced."""
+    bounded = []
+
+    def unbounded(*args, limit=np.inf, **kw):
+        bounded.append(np.isfinite(limit))
+        return dijkstra(*args, **kw)
+
+    monkeypatch.setattr(crystal, "dijkstra", unbounded)
+    return bounded
 
 
 def test_hop_bound_leaves_answers_unchanged(honeycomb_cos, drifted_loop,
@@ -124,8 +151,9 @@ def test_hop_bound_leaves_answers_unchanged(honeycomb_cos, drifted_loop,
                 + [min_action(*net, q) for net, q in queries])
 
     bounded = answers()
-    _unbounded_dijkstra(monkeypatch)
+    replaced = _unbounded_dijkstra(monkeypatch)
     assert answers() == bounded
+    assert sum(replaced) >= len(cases) + len(queries)
 
 
 def test_negative_box_radius_rejected(honeycomb):
@@ -167,19 +195,23 @@ class TestDriftedLoop:
             assert (w + shift >= -1e-9 * (1 + np.abs(w).max())).all()
             assert (reduced_weights(w, shift) >= 0).all()
 
-    def test_min_action_matches_oracle_sweep(self, drifted_loop, monkeypatch):
+    def test_min_action_matches_oracle_sweep(self, drifted_loop):
+        """min_action's cutting planes against the dual maximized by
+        ``_concave_max`` over the distances of the label-correcting sweeps."""
         g, tm, profs = drifted_loop
-
-        def swept(box, weights, potential, at):
-            dist = sweep_weights(box.g, box.tm, weights, box.source.base,
-                                 box.radius, reverse=box.reverse)
-            return dist[(slice(None),) + at]
-
         queries = [ActionQuery("v", "v", T, h) for T, h in
                    [(1.0, (0,)), (2.0, (3,)), (4.0, (-2,)), (8.0, (5,))]]
         got = [min_action(g, tm, profs, q) for q in queries]
-        monkeypatch.setattr(BoxGraph, "distances", swept)
-        want = [min_action(g, tm, profs, q) for q in queries]
+        want = []
+        for q in queries:
+            at = (slice(None),) + BoxGraph(g, tm, CrystalVertex(q.x, (0,)),
+                                           q.radius()).index(q.y, q.h)
+
+            def dual(a):
+                dist = sweep_weights(g, tm, profs.sigma_all([a]).T, q.x, q.radius())
+                return float(dist[at][0]) - a * q.T
+
+            want.append(_concave_max(dual, profs.a0)[0])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_single_node_distances(self, drifted_loop):
@@ -192,8 +224,10 @@ class TestDriftedLoop:
         w = np.stack([profs[e].sigma(a) for e in box.edges], axis=1)
         for h in [(0,), (3,), (-4,)]:
             at = box.index("v", h)
-            np.testing.assert_array_equal(box.distances(w, pot, at=at),
-                                          full[(slice(None),) + at])
+            for row, dist in zip(w, full):
+                psi, counts = box.walk(row, pot, at)
+                assert psi == dist[at]
+                _assert_walk(g, tm, counts, "v", (0,), "v", h, False)
 
     def test_hop_bound_with_zero_reduced_weight(self, drifted_loop):
         """At a0 every reduced weight of the loop is 0 under a nonzero

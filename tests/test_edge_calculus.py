@@ -353,7 +353,9 @@ def test_concave_max_evaluates_each_bracket_point_once():
         seen.append(a)
         return -(a - 3.0) ** 2
 
-    assert _concave_max(f, 0.0, hi_hint=1.0) == pytest.approx(0.0, abs=1e-12)
+    value, a = _concave_max(f, 0.0, hi_hint=1.0)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert a == pytest.approx(3.0, abs=1e-6)
     # doublings 1 -> 2 -> 4: each new upper end is one evaluation, since the
     # midpoint lo + step / 2 is the previous upper end
     assert seen[:4] == [1.0, 0.5, 2.0, 4.0]
