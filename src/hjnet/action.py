@@ -33,7 +33,7 @@ import numpy as np
 from .base_graph import BaseGraph, Path, ThetaMap
 from .crystal import BoxGraph, CrystalVertex, Potential, johnson_potential
 from .edge_calculus import EdgeProfiles, _concave_max
-from .errors import BudgetExceeded, Unreachable, finite, integral
+from .errors import BudgetExceeded, Unreachable, integral, vector
 from .mather import MatherSolver
 
 _DUAL_SEARCHES = 16  # walk searches of one _dual_max before BudgetExceeded
@@ -123,10 +123,7 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     in a; ``_dual_max`` certifies it in a few Dijkstra searches."""
     if not 0 < query.T < np.inf:
         raise ValueError(f"T must be positive and finite, not {query.T}")
-    h = np.asarray(query.h, dtype=int)
-    if h.shape != (tm.betti,):
-        raise ValueError(f"rotation vector h must have b = {tm.betti} entries, "
-                         f"not {query.h}")
+    h = vector("rotation vector h", query.h, tm.betti).astype(int)
     radius = query.radius()
     if np.max(np.abs(h), initial=0) > radius:
         raise Unreachable(f"h = {query.h} lies outside the rotation box of "
@@ -160,11 +157,8 @@ def _dual_max(box: BoxGraph, profiles: EdgeProfiles, potential: Potential,
         if (C == counts).all(axis=1).any():
             return best, counts
         C = np.vstack([C, counts])
-        a = _concave_max(model, profiles.a0, hi_hint)[1]
-        # at a kink Brent reads low by sqrt(eps) |a| times the slope's jump
-        lo = max(profiles.a0, a - 1e-7 * (1.0 + abs(a)))
-        if len({int(np.argmin(C @ profiles.sigma_all(s))) for s in (lo, 2 * a - lo)}) > 1:
-            a = lo + _concave_max(lambda s: model(lo + s), 0.0, hi_hint=a - lo)[1]
+        a = _concave_max(model, profiles.a0, hi_hint,
+                         piece=lambda s: int(np.argmin(C @ profiles.sigma_all(s))))[1]
     raise BudgetExceeded(f"each of {_DUAL_SEARCHES} dual searches found a new walk")
 
 
@@ -182,10 +176,7 @@ def asymptotics_scan(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     """Deviations |Phi(x,y,T, floor(T dir))/T - beta(h/T)| along a T schedule."""
     if not all(0 < T < np.inf for T in T_list):
         raise ValueError(f"every T must be positive and finite, not {T_list}")
-    direction = finite("h_direction", h_direction)
-    if direction.shape != (tm.betti,):
-        raise ValueError(f"h_direction must have b = {tm.betti} entries, "
-                         f"not {h_direction}")
+    direction = vector("h_direction", h_direction, tm.betti)
     solver = MatherSolver(g, tm, profiles)
     hs = [tuple(int(k) for k in np.floor(T * direction)) for T in T_list]
     phis = [min_action(g, tm, profiles, ActionQuery(x, y, float(T), h)) / T

@@ -357,12 +357,16 @@ def critical_value(model) -> float:
     return best
 
 
-def _concave_max(f, lo: float, hi_hint: float = 1.0) -> tuple[float, float]:
+def _concave_max(f, lo: float, hi_hint: float = 1.0, piece=None) -> tuple[float, float]:
     """Max of a concave function on [lo, inf) and a level attaining it:
     doubling bracket (one evaluation per doubling, whose midpoint is the last
     upper end), then bounded Brent, which stops about sqrt(eps) |a| +
     _CONCAVE_XATOL / 3 from the maximizer a (4.5e-9 at a = 0.3), so a kinked
-    maximum reads low by up to that times the jump of f' there."""
+    maximum reads low by up to that times the jump of f' there.  With
+    ``piece``, which names the piece of f that attains it at a level, a change
+    of piece within d = 1e-7 (1 + |a|) of a marks a kink: a second search in
+    the offset from a - d, where sqrt(eps) |offset| is about 1e-15, keeps
+    the better of the two."""
     step = max(hi_hint, 1e-6)
     f_hi = f(lo + step)
     f_mid = f(lo + 0.5 * step)
@@ -373,7 +377,14 @@ def _concave_max(f, lo: float, hi_hint: float = 1.0) -> tuple[float, float]:
         f_mid, f_hi = f_hi, f(lo + step)
     res = minimize_scalar(lambda a: -f(a), bounds=(lo, lo + step),
                           method="bounded", options={"xatol": _CONCAVE_XATOL})
-    return max((float(-res.fun), float(res.x)), (float(f(lo)), lo))
+    best = max((float(-res.fun), float(res.x)), (float(f(lo)), lo))
+    if piece is not None:
+        a, d = best[1], 1e-7 * (1.0 + abs(best[1]))
+        below = max(lo, a - d)
+        if len({piece(below), piece(a), piece(a + d)}) > 1:
+            val, s = _concave_max(lambda s: f(below + s), 0.0, a + d - below)
+            best = max(best, (val, below + s))
+    return best
 
 
 def _increasing_root(f, lo: float, xtol: float) -> float:

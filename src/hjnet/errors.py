@@ -11,6 +11,15 @@ def finite(name: str, x) -> np.ndarray:
     return arr
 
 
+def vector(name: str, x, b: int, rows: bool = False) -> np.ndarray:
+    """x as a finite float vector of b entries (or rows of b entries, if
+    ``rows``); ValueError naming ``name`` otherwise."""
+    arr = finite(name, x)
+    if (arr.shape[-1:] if rows else arr.shape) != (b,):
+        raise ValueError(f"{name} must have b = {b} entries, not {x}")
+    return arr
+
+
 def integral(name: str, x) -> np.ndarray:
     """x as an int array; ValueError naming ``name`` unless every entry is an integer."""
     arr = finite(name, x)

@@ -6,10 +6,11 @@ The rescaled solution with initial datum g_eps(z) = g(eps pi2(z)) is
 
 with the minimum restricted to a ball eps d_V(z0, z) <= R that provably
 contains the minimizers (the ball radius follows from the datum's Lipschitz
-bound and the conjugate speeds of the effective Hamiltonian, and expands
-once if it binds).  Phi(z0, z, T) is min_action's dual bound
-max_{a >= a0} [Psi_a - aT], Psi_a the least walk weight from z0 into z in one
-reverse crystal box around z (``crystal.BoxGraph``).  The minimum is found by
+bound L and ``MatherSolver.reach``'s exact bound on the conjugate speeds
+|grad H_eff| over |p|_2 <= L + 1/2, and expands once if it binds).
+Phi(z0, z, T) is min_action's dual bound max_{a >= a0} [Psi_a - aT], Psi_a
+the least walk weight from z0 into z in one reverse crystal box around z
+(``crystal.BoxGraph``).  The minimum is found by
 lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
 the box, each level a Dijkstra search that stops once the ball (at most R/eps
 arcs from z) is settled, into a running max: a lower bound per vertex.  The
@@ -35,14 +36,13 @@ import numpy as np
 from .base_graph import BaseGraph, ThetaMap
 from .crystal import BoxGraph, CrystalVertex
 from .edge_calculus import EdgeProfiles
-from .errors import RadiusExhausted, finite, integral
+from .errors import RadiusExhausted, finite, integral, vector
 from .action import _dual_max, crystal_potential
 from .mather import MatherSolver
 
 logger = logging.getLogger(__name__)
 
 _DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
-_REACH_DIRS = 16  # random momentum directions of _reach_scales, plus the axes
 
 
 class InitialDatum:
@@ -150,29 +150,19 @@ def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
 
 
 def _reach_scales(solver: MatherSolver, L: float):
-    """Conjugate speed bound and level cap for momenta up to |p| <= L + 1/2.
+    """Conjugate speed bound and level cap for momenta |p|_2 <= L + 1/2.
 
     Minimizing curves move with the gradient of the effective Hamiltonian at
     the conjugate momentum, whose norm is bounded by the datum's Lipschitz
-    constant; sampled finite differences give the speed scale, and the
-    effective Hamiltonian itself caps the relevant dual levels.
+    constant; ``MatherSolver.reach`` bounds that gradient and caps the
+    effective Hamiltonian, which bounds the relevant dual levels, exactly on
+    the ball.  The margins absorb finite-eps effects, which the touch check
+    of ``epsilon_solution`` certifies.  On a tree (b = 0) alpha is flat, yet
+    the minimizer may still sit some base-graph hops away: unit speed.
     """
-    b = solver.tm.betti
-    if b == 0:
+    if solver.tm.betti == 0:
         return 1.0, solver.a0 + 1.0
-    rng = np.random.default_rng(7)
-    dirs = rng.normal(size=(_REACH_DIRS, b))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    eye = np.eye(b)
-    dirs = np.concatenate([dirs, eye, -eye])
-    P = (L + 0.5) * dirs
-    delta = 1e-4
-    grads = np.empty_like(P)
-    for k in range(b):
-        grads[:, k] = (solver.alpha_batch(P + delta * eye[k])
-                       - solver.alpha_batch(P - delta * eye[k])) / (2 * delta)
-    q_reach = float(np.linalg.norm(grads, axis=1).max())
-    a_cap = float(solver.alpha_batch(P).max())
+    a_cap, q_reach = solver.reach(L + 0.5)
     return 1.25 * q_reach + 0.25, a_cap + 1.0
 
 
@@ -192,8 +182,8 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         raise ValueError(f"t and eps must be positive and finite, not {t}, {eps}")
     if R is not None and not 0 < R < np.inf:
         raise ValueError(f"search radius R = {R} must be positive and finite")
-    if integral("lattice point z.h", z.h).shape != (tm.betti,):
-        raise ValueError(f"lattice point z.h must have b = {tm.betti} entries, not {z.h}")
+    vector("lattice point z.h", z.h, tm.betti)
+    integral("lattice point z.h", z.h)
     _check_dims(datum, tm.betti)
     solver = MatherSolver(g, tm, profiles)
     L = _datum_lipschitz(datum, tm.betti)
@@ -252,8 +242,7 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, not {t}")
     b = tm.betti
-    if (h := finite("h", h)).shape != (b,):
-        raise ValueError(f"h must have b = {b} entries, not {h.tolist()}")
+    h = vector("h", h, b)
     _check_dims(datum, b)
     solver = MatherSolver(g, tm, profiles)
     if isinstance(datum, TabulatedDatum):  # v_i + L |h - x_i|_2: D the ball |p|_2 <= L

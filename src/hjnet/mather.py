@@ -1,12 +1,16 @@
 """Mather's alpha/beta functions on the base graph.
 
-alpha is the effective Hamiltonian by the circuit characterization: alpha(p)
-is the largest root over directed simple circuits xi of S_xi(a) = <p, theta(xi)>,
-S_xi(a) = sum_{e in xi} sigma(e, a), clipped below at a0.  ``alpha_batch`` and
-``alpha`` share one inverse interpolation on the append-only sigma ladder of
-``EdgeProfiles`` (a solver extends its circuit sums block by block, so answers
-are history-free); ``alpha`` polishes it by ``brentq``.  The test suite pins
-this route to the cycle means of ``cell_problem.effective_hamiltonian``.
+alpha is the effective Hamiltonian by the circuit characterization: over
+directed simple circuits xi, with S_xi(a) = sum_{e in xi} sigma(e, a) concave
+and increasing, alpha(p) is the least a >= a0 at which every slack
+S_xi(a) - <p, theta(xi)> is >= 0.  ``alpha`` finds it by the root search of
+the discrete Hamiltonian (``edge_calculus._increasing_root``) on the least
+slack, with S(a) from ``EdgeProfiles.sigma_all``; the test suite pins it to
+the cycle means of ``cell_problem.effective_hamiltonian``.  ``alpha_batch``
+interpolates each circuit on the append-only sigma ladder of ``EdgeProfiles``
+(a solver extends its circuit sums block by block, so answers are
+history-free).  ``reach`` gives the largest alpha on a ball and a bound on
+|grad alpha| there, both from the circuit levels.
 
 ``hopf_sup`` is the one conjugation: sup over p in D of <p, q> - t alpha(p) for
 D = R^b (beta) or the dual sets of ``homogenize.limit_solution``'s pieces, a
@@ -34,12 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
 from .base_graph import BaseGraph, ThetaMap, rotation_vector
 from .cell_problem import enumerate_circuits
-from .edge_calculus import _LADDER_BLOCK, EdgeProfiles, _concave_max
-from .errors import BudgetExceeded, ConvergenceFailure, finite
+from .edge_calculus import _LADDER_BLOCK, EdgeProfiles, _concave_max, _increasing_root
+from .errors import BudgetExceeded, ConvergenceFailure, vector
 
 _SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
@@ -121,55 +125,48 @@ class MatherSolver:
                 [self._S, self._circuit_edge_count @ sig[:, lo:hi]], axis=1)
         return self._S
 
-    def _cover(self, r: np.ndarray):
-        """Grow until every circuit sum at the top level exceeds its r."""
-        while np.any(r >= self._sums()[:, -1]):
-            self.profiles.grow_ladder()
-        return self.profiles.ladder_a, self._S
-
-    def _circuit_sum(self, ci: int, a: float) -> float:
-        return float(self._circuit_edge_count[ci] @ self.profiles.sigma_all(a))
-
     # ----- alpha -----
 
-    def _circuit_levels(self, r: np.ndarray):
-        """Per circuit xi in turn, the ladder level a where S_xi(a) reaches
-        column xi of r (rows, circuits), interpolated; a0 where S_xi(a0) does."""
-        a_vals, S = self._cover(r.max(axis=0, initial=-np.inf))
-        for ci in range(r.shape[1]):
-            yield np.interp(r[:, ci], S[ci], a_vals)
-
     def alpha_batch(self, P: np.ndarray) -> np.ndarray:
-        """Interpolated effective Hamiltonian at each row of P (shape (m, b))."""
-        P = np.atleast_2d(finite("momenta P", P))
+        """Interpolated effective Hamiltonian at each row of P (shape (m, b)):
+        per circuit xi, the ladder level where S_xi reaches <p, theta(xi)>."""
+        P = np.atleast_2d(vector("momenta P", P, self.tm.betti, rows=True))
         out = np.full(P.shape[0], self.a0)
-        if not self.circuits:
-            return out
         for lo in range(0, P.shape[0], _ROW_CHUNK):
             r = P[lo:lo + _ROW_CHUNK] @ self.circuit_theta.T  # (rows, n_circuits)
             part = out[lo:lo + _ROW_CHUNK]
-            for level in self._circuit_levels(r):
-                np.maximum(part, level, out=part)
+            top = r.max(axis=0, initial=-np.inf)
+            while np.any(top >= self._sums()[:, -1]):  # until the top level covers r
+                self.profiles.grow_ladder()
+            for ci in range(r.shape[1]):
+                np.maximum(part, np.interp(r[:, ci], self._S[ci], self.profiles.ladder_a),
+                           out=part)
         return out
 
     def alpha(self, p) -> float:
-        """Effective Hamiltonian at a single p, exact up to root-finding."""
-        p = finite("momentum p", p)
-        if not self.circuits:
-            return self.a0
-        r = self.circuit_theta @ p
-        cand = np.concatenate(list(self._circuit_levels(r[None])))
-        a_vals, S = self.profiles.ladder_a, self._S
-        best = float(cand.max())
-        val = self.a0
-        for ci in np.nonzero(cand >= best - 1e-3)[0]:
-            if self._circuit_sum(ci, self.a0) >= r[ci]:
-                continue
-            hi = a_vals[max(1, np.searchsorted(S[ci], r[ci], side="right"))]
-            root = brentq(lambda a: self._circuit_sum(ci, a) - r[ci],
-                          self.a0, hi, xtol=1e-11)
-            val = max(val, float(root))
-        return val
+        """Effective Hamiltonian at a single p: the least level a >= a0 where
+        no circuit slack S_xi(a) - <p, theta(xi)> is negative, to 1e-11."""
+        r = self.circuit_theta @ vector("momentum p", p, self.tm.betti)
+        return _increasing_root(
+            lambda a: float((self._circuit_edge_count @ self.profiles.sigma_all(a)
+                             - r).min(initial=np.inf)), self.a0, 1e-11)
+
+    def reach(self, radius: float) -> tuple[float, float]:
+        """The largest alpha on the ball |p|_2 <= radius, and a bound on
+        |grad alpha|_2 there.  The largest <theta(xi), p> on the ball is
+        radius |theta(xi)|, so a_xi, the least a >= a0 where S_xi reaches it,
+        is the most that xi can set alpha to, and max a_xi is the max of alpha.
+        Where xi is critical at p, grad alpha = theta(xi) / S_xi'(alpha(p))
+        with alpha(p) <= a_xi; S_xi is concave, so its secant over
+        [a_xi, a_xi + d] bounds S_xi' on [a0, a_xi] from below."""
+        top, speed, d = self.a0, 0.0, 1e-6
+        for count, n in zip(self._circuit_edge_count,
+                            np.linalg.norm(self.circuit_theta, axis=1)):
+            a = _increasing_root(lambda a: count @ self.profiles.sigma_all(a) - radius * n,
+                                 self.a0, 1e-11)
+            rise = float(count @ (self.profiles.sigma_all(a + d) - self.profiles.sigma_all(a)))
+            top, speed = max(top, a), max(speed, n * d / rise)
+        return top, speed
 
     # ----- beta and Hopf's formula by conjugation -----
 
@@ -178,7 +175,7 @@ class MatherSolver:
         """sup of <p, q> - t alpha(p) over D = {|p|_ord <= radius}, ord inf or 2
         (R^b for an infinite radius): max over a of W(a) - t a (see the module
         docstring), read as <p, q> - t alpha(p) at the best candidate p."""
-        q = np.asarray(q, dtype=float)
+        q = vector("point q", q, self.tm.betti)
         if not radius >= 0 or ord not in (2, np.inf):
             raise ValueError(f"need radius >= 0 and ord 2 or inf, not {radius}, {ord}")
         if not q.size:
@@ -212,27 +209,23 @@ class MatherSolver:
             lo, hi = hi, self.a0 + 2.0 * (hi - self.a0 or 0.5)
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (lo, mid) if np.isfinite(level(mid)[0]) else (mid, hi)
-        best = [-np.inf, hi, None, None]  # f, level, candidate and face of the best
+        best = [-np.inf, None]  # f and candidate p of the best level
 
         def f(a):
-            w, p, i = level(a)
+            w, p, _ = level(a)
             if w - t * a > best[0]:
-                best[:] = w - t * a, a, p, i
+                best[:] = w - t * a, p
             return w - t * a
 
-        # Brent stops about sqrt(eps) |a - hi| from the optimum.  Skip it where
-        # W - t a falls from the least level, and where the best face changes
-        # within d of its best level (a kink of W), search again from there.
+        # skip the search where W - t a falls from the least level; a change
+        # of best face is a kink of W
         if f(hi + 1e-10 * (1.0 + abs(hi))) > f(hi):
-            _concave_max(lambda s: f(hi + s), 0.0)
-            a1, i1, d = best[1], best[3], 1e-7 * (1.0 + best[1] - hi)
-            if level(max(hi, a1 - d))[2] != i1 or level(a1 + d)[2] != i1:
-                _concave_max(lambda s: f(max(hi, a1 - d) + s), 0.0, hi_hint=2.0 * d)
-        return float(best[2] @ q) - t * self.alpha(best[2])
+            _concave_max(lambda s: f(hi + s), 0.0, piece=lambda s: level(hi + s)[2])
+        return float(best[1] @ q) - t * self.alpha(best[1])
 
     def beta(self, h) -> float:
         """Mather's beta: sup over p of <p, h> - alpha(p), a ``hopf_sup`` over R^b."""
-        return self.hopf_sup(finite("rotation vector h", h))
+        return self.hopf_sup(vector("rotation vector h", h, self.tm.betti))
 
     # ----- beta by closed-flow linear programming -----
 

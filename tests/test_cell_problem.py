@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjnet.cell_problem import (_edge_weights, effective_hamiltonian,
-                                enumerate_circuits, min_cycle_weight)
+from hjnet.cell_problem import (DEFAULT_BISECTION_TOL, _edge_weights,
+                                effective_hamiltonian, enumerate_circuits,
+                                min_cycle_weight)
 from hjnet.edge_calculus import (QuadraticEdgeModel, TrigPoly, build_profiles)
 from hjnet.errors import LevelBelowMinimum
+from hjnet.mather import MatherSolver
 
 from conftest import networks
 from oracles import convexity_probe, karp_min_cycle_mean, simpson_sigma
@@ -179,6 +181,22 @@ def test_alpha_routes_agree(honeycomb_cos, bouquet_free):
             p = rng.uniform(-2.5, 2.5, size=2)
             assert solver.alpha(p) == pytest.approx(
                 effective_hamiltonian(g, tm, profs, p), abs=1e-6)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(net=networks(), data=st.data())
+def test_alpha_routes_agree_on_multigraphs(net, data):
+    """Circuit slacks and Karp's cycle means have the same root on multigraphs
+    with loops, multi-edges and trees (b = 0); each route's brentq stops within
+    its xtol (1e-11 for alpha, DEFAULT_BISECTION_TOL for Karp) plus 4 eps |a|."""
+    g, tm, profs = net
+    solver = MatherSolver(g, tm, profs)
+    for _ in range(3):
+        p = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=tm.betti,
+                                        max_size=tm.betti)))
+        want = effective_hamiltonian(g, tm, profs, p)
+        assert abs(solver.alpha(p) - want) <= (1e-11 + DEFAULT_BISECTION_TOL
+                                               + 8 * np.finfo(float).eps * abs(want))
 
 
 @pytest.mark.parametrize("p", [(float("nan"), 0.0), (float("inf"), 0.0)],

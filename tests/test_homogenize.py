@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hjnet import homogenize
+from hjnet import build_graph, homogenize, spanning_tree, theta_map
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
@@ -193,6 +193,21 @@ class TestEpsilonSolution:
         with pytest.raises(RadiusExhausted):
             epsilon_solution(g, tm, profs, steep, CrystalVertex("v", (0, 0)),
                              1.0, 0.5, R=0.5)
+
+    def test_tree_ball_reaches_a_far_minimizer(self):
+        """On a tree (b = 0) alpha is flat, yet the minimizer sits base-graph
+        hops away: the default ball (unit speed) holds it at eps = 1."""
+        g = build_graph({"vertices": list("abcde"),
+                         "edges": [{"id": f"t{i}", "from": u, "to": v}
+                                   for i, (u, v) in enumerate(["ab", "bc", "cd", "de"])]})
+        tm = theta_map(g, spanning_tree(g))
+        profs = build_profiles(g, {e: QuadraticEdgeModel(
+            drift=TrigPoly(const=1.5), potential=TrigPoly(cos=(-0.5 if e == "t3" else 0.0,)))
+            for e in g.orientation})
+        z = CrystalVertex("e", ())
+        got = epsilon_solution(g, tm, profs, ConeDatum(1.0), z, 3.0, 1.0)
+        assert got == pytest.approx(epsilon_solution_dense(
+            g, tm, profs, ConeDatum(1.0), z, 3.0, 1.0, 4.0, profs.a0 + 16.0), abs=1e-9)
 
     def test_ball_check_reads_the_winner(self, bouquet_free):
         # R = 1.6 binds once; in the doubled ball the last vertex refined lies

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjnet import build_graph, mather, spanning_tree, theta_map
+from hjnet.crystal import CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
 from hjnet.errors import BudgetExceeded
-from hjnet.homogenize import ConeDatum, limit_solution
+from hjnet.homogenize import ConeDatum, _reach_scales, epsilon_solution, limit_solution
 from hjnet.mather import MatherSolver
 
 from conftest import BOUQUET_SPEC, networks
@@ -55,6 +56,29 @@ class TestBetaConjugation:
         h = np.array([0.7, -0.4])
         ratios = [solver.beta(t * h) / t for t in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(net=networks(), data=st.data())
+    def test_conjugates_not_below_witnesses(self, net, data):
+        """beta(0) = -a0, and beta(h) and the cone limit are not below the
+        witnesses <p, h> - t alpha(p) (p in the cone's box for the limit), on
+        multigraphs with loops, multi-edges and trees (b = 0)."""
+        g, tm, profs = net
+        solver = MatherSolver(g, tm, profs)
+
+        def vec(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=tm.betti,
+                                               max_size=tm.betti)))
+
+        h, t = vec(-2.0, 2.0), data.draw(st.floats(0.25, 2.0))
+        c = data.draw(st.floats(0.0, 2.0))
+        assert solver.beta(np.zeros(tm.betti)) == pytest.approx(-profs.a0, abs=1e-9)
+        beta, cone = solver.beta(h), limit_solution(g, tm, profs, ConeDatum(c), h, t)
+        for _ in range(3):
+            p = vec(-2.0, 2.0)
+            assert beta >= p @ h - solver.alpha(p) - 1e-9
+            p = np.clip(p, -c, c)
+            assert cone >= p @ h - t * solver.alpha(p) - 1e-9
 
     def test_beta_not_below_a_witness_at_a_kink(self, honeycomb_cos):
         # <p_w, h> - H_eff(p_w) bounds beta(h) below; a grid search that
@@ -289,3 +313,60 @@ def test_rejects_non_finite_input(honeycomb_cos, method, arg, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         getattr(MatherSolver(g, tm, profs), method)(arg)
     assert profs.ladder_a.size == 1
+
+
+@pytest.mark.parametrize("method, arg, name", [
+    ("alpha", [0.5], "momentum p"), ("alpha", 0.5, "momentum p"),
+    ("alpha_batch", [[0.5]], "momenta P"), ("beta", [0.5], "rotation vector h"),
+    ("hopf_sup", [0.5], "point q"),
+], ids=["alpha-short", "alpha-scalar", "alpha_batch-short", "beta-short",
+        "hopf_sup-short"])
+def test_rejects_wrong_length_input(honeycomb_cos, method, arg, name):
+    g, tm, profs = _fresh(honeycomb_cos)
+    with pytest.raises(ValueError, match=f"{name} must have b = 2 entries"):
+        getattr(MatherSolver(g, tm, profs), method)(arg)
+    assert profs.ladder_a.size == 1
+
+
+@pytest.mark.parametrize("name", ["honeycomb_cos_quarter", "k4_mixed"])
+def test_pipeline_leaves_the_ladder_alone(request, name):
+    """Only alpha_batch and the flow LP grow the sigma ladder: alpha, beta, the
+    Hopf pieces on a box and a ball, the limit and u_eps read sigma_all."""
+    g, tm, profs = _fresh(request.getfixturevalue(name))
+    solver = MatherSolver(g, tm, profs)
+    h = np.array([0.5, 0.25, 0.0][:tm.betti])
+    solver.alpha(np.full(tm.betti, 2.0))
+    solver.beta(h)
+    solver.hopf_sup(h, 1.0, 1.5, np.inf)
+    solver.hopf_sup(h, 1.0, 1.5, 2)
+    limit_solution(g, tm, profs, ConeDatum(1.5), h, 1.0)
+    z = CrystalVertex(g.vertices[0], tuple(int(k) for k in 4 * h))
+    epsilon_solution(g, tm, profs, ConeDatum(1.5), z, 1.0, 0.25)
+    assert profs.ladder_a.size == 1
+
+
+@pytest.mark.parametrize("name, parent_speed", [
+    ("honeycomb_cos_quarter", 1.8820), ("k4_mixed", 1.5635), ("drifted_loop", None)])
+def test_reach_bound_is_certified(request, name, parent_speed):
+    """On the ball |p|_2 <= r = L + 1/2, L = 1.5 sqrt(b), ``reach`` caps alpha
+    and |grad alpha| at every circuit direction on the sphere, where the caps
+    are attained, and at 60 seeded points.  Each central difference of step
+    delta carries two root errors, 2e-11 / (2 delta), and O(delta^2).  The
+    speed of ``epsilon_solution``'s ball is not below the one that 16 random
+    directions and the axes gave (at L = 1.5 sqrt(b))."""
+    g, tm, profs = request.getfixturevalue(name)
+    solver, b = MatherSolver(g, tm, profs), tm.betti
+    r = 1.5 * np.sqrt(b) + 0.5
+    a_cap, q = solver.reach(r)
+    theta = solver.circuit_theta[np.linalg.norm(solver.circuit_theta, axis=1) > 0]
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(60, b))
+    X *= r * rng.uniform(size=(60, 1)) ** (1 / b) / np.linalg.norm(X, axis=1, keepdims=True)
+    delta = 1e-4
+    for p in np.concatenate([r * theta / np.linalg.norm(theta, axis=1, keepdims=True), X]):
+        assert solver.alpha(p) <= a_cap + 2e-11
+        grad = np.array([solver.alpha(p + e) - solver.alpha(p - e)
+                         for e in delta * np.eye(b)]) / (2 * delta)
+        assert np.linalg.norm(grad) <= q + np.sqrt(b) * 1e-11 / delta + delta**2
+    if parent_speed is not None:
+        assert _reach_scales(solver, r - 0.5)[0] >= parent_speed
