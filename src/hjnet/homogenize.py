@@ -239,12 +239,15 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
     """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by Hopf's formula,
     the least over the datum's convex pieces (see the module docstring)."""
+    return _limit_solution(MatherSolver(g, tm, profiles), datum, h, t)
+
+
+def _limit_solution(solver: MatherSolver, datum: InitialDatum, h, t: float) -> float:
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, not {t}")
-    b = tm.betti
+    b = solver.tm.betti
     h = vector("h", h, b)
     _check_dims(datum, b)
-    solver = MatherSolver(g, tm, profiles)
     if isinstance(datum, TabulatedDatum):  # v_i + L |h - x_i|_2: D the ball |p|_2 <= L
         return min(v + solver.hopf_sup(h - np.asarray(x, dtype=float), t, datum.lipschitz, 2)
                    for x, v in zip(datum.anchors, datum.values))
@@ -272,12 +275,12 @@ def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     """Compare u_eps at z = (x0, round(h / eps)), x0 the first base vertex,
     with the limit at eps round(h / eps) for every sample (h, t) and eps."""
     report = ExperimentReport()
-    x0 = g.vertices[0]
+    x0, solver = g.vertices[0], MatherSolver(g, tm, profiles)  # one set of Hopf tables
     for eps in grid.eps_list:
         sup_err = 0.0
         for (h, t) in grid.samples:
             h_z = tuple(int(k) for k in np.round(np.asarray(h, dtype=float) / eps))
-            u = limit_solution(g, tm, profiles, datum, eps * np.array(h_z, dtype=float), t)
+            u = _limit_solution(solver, datum, eps * np.array(h_z, dtype=float), t)
             u_eps = epsilon_solution(g, tm, profiles, datum, CrystalVertex(x0, h_z),
                                      t, eps, R=grid.radius)
             err = abs(u_eps - u)

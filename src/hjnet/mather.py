@@ -27,8 +27,9 @@ the value is <p, q> - t alpha(p) at the best candidate p, a witness.
 measures: atomic measures on a finite speed grid turn the problem into a
 linear program over edge/speed masses with conservation and rotation
 constraints, solved by HiGHS and refined around the active speeds.  Its cost
-grid L(e, q) = max over ladder levels of q sigma(e, a) - a is certified: the
-ladder grows until every maximizing level is interior.
+L(e, q) is the max over ladder levels of q sigma(e, a) - a, concave in a: one
+slope search per edge finds the best level at every speed, and a ladder that
+is not concave raises.  A call still pays for growing the ladder and HiGHS.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .cell_problem import enumerate_circuits
 from .edge_calculus import _LADDER_BLOCK, EdgeProfiles, _concave_max, _increasing_root
 from .errors import BudgetExceeded, ConvergenceFailure, vector
 
-_SPEED_CHUNK = 8
 _ROW_CHUNK = 1 << 16  # alpha_batch rows per pass; bounds its (rows, circuits) arrays
 _FACE_BUDGET = 200_000  # row sets of one conjugation table; _face_table raises beyond
 _N_SPEEDS = 201  # speeds of the flow LP grid, 0 included
@@ -232,31 +232,38 @@ class MatherSolver:
     def _lagrangian_grid(self, speeds: np.ndarray) -> np.ndarray:
         """L(e, q) = max over ladder levels a of q sigma(e, a) - a, per edge.
 
-        The ladder grows until, on every edge, the top speed's maximizing
-        level is interior.  The maximizer moves up with q, so that certifies
-        every speed.  A parabola through the discrete maximum and its two
-        neighbours (sigma is concave) removes the O(spacing^2) grid error.
+        sigma is concave, so the ladder's forward slopes do not increase and
+        the best level at speed q, the first with slope <= 1/q, is one
+        ``np.searchsorted`` per edge; a parabola through it and its neighbours
+        removes the O(spacing^2) error.  The ladder grows until the top speed's
+        best level is interior.  Certified: every best level is a local
+        maximum and no slope rises, beyond rounding.
         """
-        q_top, profiles = speeds.max(), self.profiles
-        while np.any((q_top * profiles.ladder_sig - profiles.ladder_a).argmax(axis=1)
-                     == profiles.ladder_a.size - 1):
+        profiles = self.profiles  # q sigma - a rises past level i iff -slope_i < bar = -1/q
+        bar = np.divide(-1.0, speeds, out=np.full(speeds.shape, -np.inf), where=speeds > 0)
+        while (a := profiles.ladder_a).size < 3 or np.any(
+                -np.diff(profiles.ladder_sig[:, -2:]) / (a[-1] - a[-2]) < bar.max()):
             profiles.grow_ladder()
         a, sig = profiles.ladder_a, profiles.ladder_sig
-        out = np.empty((len(self.g.edge_order), speeds.size))
-        for j, e in enumerate(self.g.edge_order):
-            for lo in range(0, speeds.size, _SPEED_CHUNK):
-                q = speeds[lo:lo + _SPEED_CHUNK]
-                vals = q[:, None] * sig[j] - a
-                k = vals.argmax(axis=1)
-                idx = np.maximum(k, 1)[:, None] + np.arange(-1, 2)
-                x, y = a[idx], np.take_along_axis(vals, idx, axis=1)
-                d1, d2 = np.diff(y, axis=1).T / np.diff(x, axis=1).T
-                c = (d2 - d1) / (x[:, 2] - x[:, 0])
-                m = d1 + c * (x[:, 1] - x[:, 0])  # slope at the middle level
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    peak = np.where(c < 0, y[:, 1] - m**2 / (4 * c), y[:, 1])
-                out[j, lo:lo + q.size] = np.where(k > 0, peak, vals[:, 0])
-            out[j, speeds == 0.0] = -self.profiles[e].a_e
+        k, bad = np.empty((len(sig), speeds.size), np.intp), np.zeros(len(sig), bool)
+        for j, s in enumerate(np.diff(sig) / np.diff(a)):  # per edge: search, concavity
+            k[j] = np.searchsorted(-s, bar)
+            bad[j] = np.any(np.diff(s) * np.diff(a)[1:] > 1e-12 * (1 + np.abs(sig[j, 2:])))
+        idx = np.maximum(k, 1)[..., None] + np.arange(-1, 2)
+        x = a[idx]
+        y = speeds[:, None] * np.take_along_axis(sig[:, None], idx, axis=2) - x
+        dy = np.diff(y)
+        d1, d2 = np.moveaxis(dy / np.diff(x), -1, 0)
+        c = (d2 - d1) / (x[..., 2] - x[..., 0])
+        m = d1 + c * (x[..., 1] - x[..., 0])  # slope at the middle level
+        with np.errstate(divide="ignore", invalid="ignore"):
+            peak = np.where(c < 0, y[..., 1] - m**2 / (4 * c), y[..., 1])
+        rise = np.where(k > 0, np.maximum(-dy[..., 0], dy[..., 1]), dy[..., 0])  # off level k
+        bad |= (rise > 1e-12 * (1 + np.abs(x[..., 1]))).any(axis=1)
+        if bad.any():
+            raise ConvergenceFailure(f"sigma({self.g.edge_order[bad.argmax()]}) is not concave")
+        out = np.where(k > 0, peak, y[..., 0])
+        out[:, speeds == 0.0] = -np.array([[profiles[e].a_e] for e in self.g.edge_order])
         return out
 
     def _flow_lp(self, h: np.ndarray, speeds: np.ndarray):
@@ -287,7 +294,7 @@ class MatherSolver:
         the grid while the top speed is active, then refines once around the
         speeds the optimizer uses.
         """
-        h = np.asarray(h, dtype=float)
+        h = vector("rotation vector h", h, self.tm.betti)
         q_max = 2.0 * (np.abs(h).sum() + 1.0)
         for _ in range(12):
             speeds = np.concatenate([[0.0], np.linspace(q_max / (_N_SPEEDS - 1),

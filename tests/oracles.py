@@ -267,6 +267,37 @@ def beta_flow_oracle(g, tm, profiles, h):
     return value
 
 
+def lagrangian_grid_dense(solver, speeds):
+    """L(e, q) = max over ladder levels a of q sigma(e, a) - a, by a dense scan.
+
+    Grows the ladder until no edge's top-speed argmax is the last level, then
+    takes the argmax of q sigma(e, a) - a over every level, eight speeds at
+    a time, with the parabola through the maximum and its neighbours: the
+    reference for the slope search of ``MatherSolver._lagrangian_grid``.
+    """
+    q_top, profiles = speeds.max(), solver.profiles
+    while np.any((q_top * profiles.ladder_sig - profiles.ladder_a).argmax(axis=1)
+                 == profiles.ladder_a.size - 1):
+        profiles.grow_ladder()
+    a, sig = profiles.ladder_a, profiles.ladder_sig
+    out = np.empty((len(solver.g.edge_order), speeds.size))
+    for j, e in enumerate(solver.g.edge_order):
+        for lo in range(0, speeds.size, 8):
+            q = speeds[lo:lo + 8]
+            vals = q[:, None] * sig[j] - a
+            k = vals.argmax(axis=1)
+            idx = np.maximum(k, 1)[:, None] + np.arange(-1, 2)
+            x, y = a[idx], np.take_along_axis(vals, idx, axis=1)
+            d1, d2 = np.diff(y, axis=1).T / np.diff(x, axis=1).T
+            c = (d2 - d1) / (x[:, 2] - x[:, 0])
+            m = d1 + c * (x[:, 1] - x[:, 0])  # slope at the middle level
+            with np.errstate(divide="ignore", invalid="ignore"):
+                peak = np.where(c < 0, y[:, 1] - m**2 / (4 * c), y[:, 1])
+            out[j, lo:lo + q.size] = np.where(k > 0, peak, vals[:, 0])
+        out[j, speeds == 0.0] = -profiles[e].a_e
+    return out
+
+
 def conjugate_pair_check(g, tm, profiles, p, h, tol=1e-5):
     """Whether <p,h> = alpha(p) + beta(h) within tol."""
     solver = MatherSolver(g, tm, profiles)

@@ -364,6 +364,18 @@ class TestConvergenceExperiment:
         assert all(err <= 1e-9 for err in report.sup_error_per_eps.values())
         assert [r["h"] for r in report.rows] == [(0.3, 0.1)] * 2
 
+    @pytest.mark.parametrize("datum", [
+        ConeDatum(1.5), TabulatedDatum(((0.0, 0.0), (0.5, -0.5)), (0.0, 0.2), 1.0)],
+        ids=["cone", "tabulated"])
+    def test_limits_equal_separate_calls(self, honeycomb_cos_quarter, datum):
+        """One solver serves the whole experiment, with the same limits."""
+        grid = ExperimentGrid((((0.5, 0.25), 1.0), ((-0.25, 0.5), 0.5)), (0.5, 0.25))
+        report = convergence_experiment(*honeycomb_cos_quarter, datum, grid)
+        assert [r["u_limit"] for r in report.rows] == [
+            limit_solution(*honeycomb_cos_quarter, datum,
+                           r["eps"] * np.round(np.asarray(r["h"]) / r["eps"]), r["t"])
+            for r in report.rows]
+
 
 @pytest.mark.parametrize("make", [lambda: ConeDatum(NAN), lambda: LinearDatum((NAN, 0.0))],
                          ids=["cone", "linear"])

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from hjnet import build_graph, mather, spanning_tree, theta_map
 from hjnet.crystal import CrystalVertex
-from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
-from hjnet.errors import BudgetExceeded
+from hjnet.edge_calculus import (QuadraticEdgeModel, TabulatedEdgeModel, TrigPoly,
+                                 build_profiles)
+from hjnet.errors import BudgetExceeded, ConvergenceFailure
 from hjnet.homogenize import ConeDatum, _reach_scales, epsilon_solution, limit_solution
 from hjnet.mather import MatherSolver
 
 from conftest import BOUQUET_SPEC, networks
-from oracles import beta_flow_oracle, conjugate_pair_check
+from oracles import beta_flow_oracle, conjugate_pair_check, lagrangian_grid_dense
 
 NAN, INF = float("nan"), float("inf")
 
@@ -237,6 +238,46 @@ def test_lagrangian_grid_is_certified(honeycomb_cos):
             assert cost == pytest.approx(want, abs=1e-6)
 
 
+def _grid_matches_dense(network, q_top):
+    """The slope search against the dense scan, each on fresh profiles: the
+    same costs to 1e-12 and the same ladder length."""
+    speeds = np.concatenate([[0.0, 1e-3], np.linspace(q_top / 40, q_top, 40)])
+    fast, dense = MatherSolver(*_fresh(network)), MatherSolver(*_fresh(network))
+    assert np.abs(fast._lagrangian_grid(speeds)
+                  - lagrangian_grid_dense(dense, speeds)).max() <= 1e-12
+    assert fast.profiles.ladder_a.size == dense.profiles.ladder_a.size
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(networks(), st.floats(0.5, 12.0))
+def test_lagrangian_grid_matches_dense_scan(network, q_top):
+    _grid_matches_dense(network, q_top)
+
+
+def test_lagrangian_grid_matches_dense_scan_tabulated(honeycomb):
+    """A tabulated e0 (samples of the unit cosine model): its ladder grows
+    one crossing search per level, so one example only."""
+    g, tm = honeycomb
+    s, rho = np.linspace(0.0, 1.0, 9), np.linspace(-8.0, 8.0, 33)
+    cos = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))
+    models = {"e0": TabulatedEdgeModel(s, rho, cos.value(s[:, None], rho[None, :])),
+              "e1": QuadraticEdgeModel(), "e2": QuadraticEdgeModel(kappa=2.0)}
+    _grid_matches_dense((g, tm, build_profiles(g, models)), 5.0)
+
+
+def test_lagrangian_grid_rejects_a_dip(honeycomb_cos):
+    """A ladder that is not concave is refused; the dense scan returns a number."""
+    solver = MatherSolver(*_fresh(honeycomb_cos))
+    speeds = np.array([0.0, 1.0, 4.0])
+    solver._lagrangian_grid(speeds)
+    sig = solver.profiles.ladder_sig.copy()
+    sig[1, sig.shape[1] // 2] -= 1e-6
+    solver.profiles.ladder_sig = sig
+    assert np.isfinite(lagrangian_grid_dense(solver, speeds)).all()
+    with pytest.raises(ConvergenceFailure, match=rf"sigma\({solver.g.edge_order[1]}\)"):
+        solver._lagrangian_grid(speeds)
+
+
 def test_beta_batch_rows_independent(honeycomb_cos):
     """beta over a batch of rows, in any order, equals beta of each row on a
     solver of its own; b = 0 (a tree) gives -alpha = -a0."""
@@ -305,8 +346,9 @@ def test_hopf_sup_rejects_unknown_dual_sets(honeycomb_cos, radius, ord):
     ("beta", (NAN, 0.25), "h"), ("beta", (INF, 0.25), "h"),
     ("alpha", (NAN, 0.0), "p"), ("alpha", (INF, 0.0), "p"),
     ("alpha_batch", [[NAN, 0.0]], "P"), ("alpha_batch", [[INF, 0.0]], "P"),
+    ("flow_oracle", (NAN, 0.1), "h"), ("flow_oracle", (0.1, INF), "h"),
 ], ids=["beta-nan", "beta-inf", "alpha-nan", "alpha-inf",
-        "alpha_batch-nan", "alpha_batch-inf"])
+        "alpha_batch-nan", "alpha_batch-inf", "flow_oracle-nan", "flow_oracle-inf"])
 def test_rejects_non_finite_input(honeycomb_cos, method, arg, name):
     """Before the ladder grows by a block."""
     g, tm, profs = _fresh(honeycomb_cos)
@@ -318,9 +360,10 @@ def test_rejects_non_finite_input(honeycomb_cos, method, arg, name):
 @pytest.mark.parametrize("method, arg, name", [
     ("alpha", [0.5], "momentum p"), ("alpha", 0.5, "momentum p"),
     ("alpha_batch", [[0.5]], "momenta P"), ("beta", [0.5], "rotation vector h"),
-    ("hopf_sup", [0.5], "point q"),
+    ("hopf_sup", [0.5], "point q"), ("flow_oracle", [0.3], "rotation vector h"),
+    ("flow_oracle", 0.3, "rotation vector h"), ("flow_oracle", [0.3, 0.1, 0.0], "rotation vector h"),
 ], ids=["alpha-short", "alpha-scalar", "alpha_batch-short", "beta-short",
-        "hopf_sup-short"])
+        "hopf_sup-short", "flow_oracle-short", "flow_oracle-scalar", "flow_oracle-long"])
 def test_rejects_wrong_length_input(honeycomb_cos, method, arg, name):
     g, tm, profs = _fresh(honeycomb_cos)
     with pytest.raises(ValueError, match=f"{name} must have b = 2 entries"):
