@@ -16,7 +16,8 @@ problem, which leaves every arc weight nonnegative and shifts every path
 weight by Phi(end) - Phi(start) only.  Unweighted searches give graph
 distances; a box of radius r certifies a distance d <= r, because each
 theta(e) is zero or a signed unit vector, so a walk of d edges never leaves
-the box.
+the box.  One hop search serves every target of a source: ``graph_distance``
+and ``stable_norm_estimate`` build at most two boxes per call.
 
 A weighted search is hop-bounded when its caller reads only nodes at most k
 arcs from the source: reduced weights are nonnegative, so such a node lies
@@ -40,7 +41,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .base_graph import BaseGraph, ThetaMap
 from .errors import (BudgetExceeded, ConvergenceFailure, NegativeReducedWeight,
-                     integral)
+                     integral, vector)
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -67,7 +68,6 @@ class Crystal:
     def __init__(self, g: BaseGraph, tm: ThetaMap):
         self.g = g
         self.tm = tm
-        self.b = tm.betti
 
     def origin(self, ce: CrystalEdge) -> CrystalVertex:
         return CrystalVertex(self.g.origin(ce.base_edge), ce.h)
@@ -81,28 +81,32 @@ class Crystal:
         return CrystalEdge(self.g.reversed(ce.base_edge), h)
 
     def graph_distance(self, a: CrystalVertex, b: CrystalVertex) -> int:
-        """Minimal number of crystal edges linking a to b.
+        """Minimal number of crystal edges linking a to b, read from one hop
+        search around a (``_hop_distances``)."""
+        return _hop_distances(self.g, self.tm, a, [b])[0]
 
-        Searched in the box of radius |b.h - a.h|_inf + 2 around a; a distance
-        d above the radius is searched once more in the box of radius d,
-        which certifies it.  A box of more than ``DEFAULT_NODE_CAP`` vertices
-        raises BudgetExceeded.
-        """
-        if a == b:
-            return 0
-        radius = int(np.max(np.abs(np.subtract(b.h, a.h)), initial=0)) + 2
-        for _ in range(2):
-            n_nodes = len(self.g.vertices) * (2 * radius + 1) ** self.b
-            if n_nodes > DEFAULT_NODE_CAP:
-                raise BudgetExceeded(
-                    f"crystal box of {n_nodes} vertices around {a} exceeds the "
-                    f"node cap {DEFAULT_NODE_CAP} before reaching {b}")
-            box = BoxGraph(self.g, self.tm, a, radius)
-            d = box.hops()[box.index(b.base, b.h)]
-            if d <= radius:
-                return int(d)
-            radius = int(d)
-        raise BudgetExceeded(f"{b} unreachable from {a}")  # cannot happen: connected
+
+def _hop_distances(g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
+                   targets) -> list[int]:
+    """Minimal numbers of crystal edges from source to each target, from one
+    hop search in the box of radius max_t |t.h - source.h|_inf + 2; if the
+    largest distance d read exceeds it, the box of radius d, searched once
+    more, certifies every target.  BudgetExceeded above ``DEFAULT_NODE_CAP``."""
+    h0 = vector("h", source.h, tm.betti)
+    radius = 2 + max(int(np.abs(vector("h", t.h, tm.betti) - h0).max(initial=0))
+                     for t in targets)
+    for _ in range(2):
+        n_nodes = len(g.vertices) * (2 * radius + 1) ** tm.betti
+        if n_nodes > DEFAULT_NODE_CAP:
+            raise BudgetExceeded(
+                f"crystal box of {n_nodes} vertices around {source} exceeds the "
+                f"node cap {DEFAULT_NODE_CAP}")
+        box = BoxGraph(g, tm, source, radius)
+        d = [box.hops()[box.index(t.base, t.h)] for t in targets]
+        if max(d) <= radius:
+            return [int(x) for x in d]
+        radius = int(max(d))
+    raise BudgetExceeded(f"{targets} unreachable from {source}")  # cannot happen: connected
 
 
 def _shift_slices(offset, n):
@@ -232,8 +236,8 @@ class BoxGraph:
         """Array index of crystal vertex (vertex, h); ValueError outside the box."""
         if vertex not in self.g.vertices:
             raise ValueError(f"unknown base vertex {vertex!r}")
-        offset = np.asarray(h, dtype=int) - np.asarray(self.source.h, dtype=int)
-        idx = offset + self.radius
+        idx = (vector("h", h, self.tm.betti).astype(int) + self.radius
+               - np.asarray(self.source.h, dtype=int))
         if np.any(idx < 0) or np.any(idx > 2 * self.radius):
             raise ValueError(f"h = {tuple(h)} lies outside the crystal box")
         return (self.g.vertices.index(vertex),) + tuple(int(i) for i in idx)
@@ -333,24 +337,16 @@ class StableNormEstimate:
 def stable_norm_estimate(g: BaseGraph, tm: ThetaMap, h,
                          n_max: int) -> StableNormEstimate:
     """Estimate lim_n d(0, n h)/n from below-n_max rescaled distances, over
-    the first base vertex."""
+    the first base vertex; every d(0, n h) is read from one hop search."""
     n_max = int(integral("n_max", n_max))
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    h = integral("h", h)
-    x0 = g.vertices[0]
-    c = Crystal(g, tm)
-    zero = CrystalVertex(x0, _t(np.zeros(tm.betti, dtype=int)))
+    h = integral("h", vector("h", h, tm.betti))
     if not h.any():
         return StableNormEstimate(_t(h), n_max, 0.0, [0.0], 0.0)
-
-    def rescaled(n):
-        return c.graph_distance(zero, CrystalVertex(x0, _t(n * h))) / n
-
-    seq = []
-    k = 0
-    while 2**k <= n_max:
-        seq.append(rescaled(2**k))
-        k += 1
-    return StableNormEstimate(_t(h), n_max, rescaled(n_max), seq,
-                              float(np.linalg.norm(h)))
+    x0 = g.vertices[0]
+    ns = [2**k for k in range(n_max.bit_length())] + [n_max]
+    d = _hop_distances(g, tm, CrystalVertex(x0, (0,) * tm.betti),
+                       [CrystalVertex(x0, _t(n * h)) for n in ns])
+    seq = [dn / n for dn, n in zip(d, ns)]
+    return StableNormEstimate(_t(h), n_max, seq.pop(), seq, float(np.linalg.norm(h)))

@@ -180,18 +180,19 @@ class TabulatedEdgeModel:
         return self._columns(s).min(axis=1)
 
     def _crossing(self, cols, a, right: bool):
-        """Level crossing of each convex PL column at level a (scalar)."""
+        """Level crossing of each convex PL column at each level of a."""
+        a = np.asarray(a, dtype=float)[..., None]
         mins = cols.min(axis=1)
-        if np.any(a < mins - 1e-9 * max(1.0, abs(a))):
+        if np.any(a < mins - 1e-9 * np.maximum(1.0, np.abs(a))):
             raise LevelBelowMinimum("level a below the fiberwise minimum of H")
         n = self.rho_grid.size
         if not right:  # mirror to reuse the right-branch logic
             cols = cols[:, ::-1]
         grid = self.rho_grid if right else -self.rho_grid[::-1]
-        le = cols <= a + 1e-15
+        le = cols <= a[..., None] + 1e-15
         # rightmost sample with value <= a; guaranteed >= argmin
-        j = n - 1 - np.argmax(le[:, ::-1], axis=1)
-        j = np.where(le.any(axis=1), j, np.argmin(cols, axis=1))
+        j = n - 1 - np.argmax(le[..., ::-1], axis=-1)
+        j = np.where(le.any(axis=-1), j, np.argmin(cols, axis=1))
         rows = np.arange(cols.shape[0])
         at_end = j == n - 1
         # interior crossing between j and j+1
@@ -301,8 +302,8 @@ class TabulatedGrid:
     """Blended sample columns of a tabulated model on a grid, one row per s.
 
     ``right`` selects the crossing of sigma_plus; the reversed model reads the
-    left crossing of the mirrored columns, negated.  The crossing is searched
-    per level.
+    left crossing of the mirrored columns, negated.  One crossing search
+    serves every level.
     """
 
     def __init__(self, model: TabulatedEdgeModel, cols: np.ndarray, weights,
@@ -315,9 +316,8 @@ class TabulatedGrid:
     def sigma(self, a) -> np.ndarray:
         """The Simpson integral at levels a, shape a.shape."""
         a = np.asarray(a, dtype=float)
-        rows = [self.model._crossing(self.cols, float(av), self.right)
-                for av in a.ravel()]
-        out = (np.stack(rows) @ self.weights).reshape(a.shape)
+        rows = self.model._crossing(self.cols, a.ravel(), self.right)
+        out = (rows @ self.weights).reshape(a.shape)
         return out if self.right else -out
 
     def reversed(self) -> TabulatedGrid:

@@ -176,6 +176,8 @@ class MatherSolver:
         (R^b for an infinite radius): max over a of W(a) - t a (see the module
         docstring), read as <p, q> - t alpha(p) at the best candidate p."""
         q = vector("point q", q, self.tm.betti)
+        if not 0 < t < np.inf:  # the level search over a needs t > 0
+            raise ValueError(f"t must be positive and finite, not {t}")
         if not radius >= 0 or ord not in (2, np.inf):
             raise ValueError(f"need radius >= 0 and ord 2 or inf, not {radius}, {ord}")
         if not q.size:

@@ -155,3 +155,66 @@ def test_stable_norm_rejects_non_integer_input(bouquet, h, n_max):
     """Truncating them would report another h or another n."""
     with pytest.raises(ValueError, match="must have integer entries"):
         stable_norm_estimate(*bouquet, h, n_max)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((0, 0), (3,)), ((0, 0), (3, 0, 0)), ((0,), (3, 3)), ((0, 0, 0), (3, 3))],
+    ids=["target-short", "target-long", "source-short", "source-long"])
+def test_graph_distance_rejects_wrong_length_h(honeycomb, a, b):
+    """A short h was broadcast: (3,) read as (3, 3)."""
+    with pytest.raises(ValueError, match="h must have b = 2 entries"):
+        Crystal(*honeycomb).graph_distance(CrystalVertex("x1", a), CrystalVertex("x1", b))
+
+
+@pytest.mark.parametrize("h", [(1,), (1, 0, 0)], ids=["short", "long"])
+def test_stable_norm_rejects_wrong_length_h(honeycomb, h):
+    """(1,) was read as (1, 1)."""
+    with pytest.raises(ValueError, match="h must have b = 2 entries"):
+        stable_norm_estimate(*honeycomb, h, 4)
+
+
+def test_stable_norm_against_networkx(honeycomb, bouquet):
+    """n_max not a power of two: every rescaled distance is a BFS distance."""
+    import networkx as nx
+
+    for g, tm in (honeycomb, bouquet):
+        x0 = g.vertices[0]
+        dist = nx.single_source_shortest_path_length(_ball_graph(g, tm, 48),
+                                                     CrystalVertex(x0, (0, 0)))
+        for h in [(1, 0), (1, 1), (-1, 1)]:
+            for n_max in (12, 48):
+                est = stable_norm_estimate(g, tm, h, n_max)
+
+                def rescaled(n):
+                    return dist[CrystalVertex(x0, (n * h[0], n * h[1]))] / n
+
+                assert est.upper_sequence == [rescaled(2**k) for k in range(6)
+                                              if 2**k <= n_max]
+                assert est.estimate == rescaled(n_max)
+
+
+def test_one_hop_search_per_call(honeycomb, monkeypatch):
+    """Every target of a call is read from at most two boxes around its source."""
+    g, tm = honeycomb
+    built = []
+    init = crystal.BoxGraph.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[3])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(crystal.BoxGraph, "__init__", spy)
+    for h in [(1, 0), (1, 1), (0, -1)]:
+        built.clear()
+        stable_norm_estimate(g, tm, h, 64)
+        assert 1 <= len(built) <= 2
+        built.clear()
+        Crystal(g, tm).graph_distance(CrystalVertex("x1", (0, 0)),
+                                      CrystalVertex("x2", (64 * h[0], 64 * h[1])))
+        assert 1 <= len(built) <= 2
+
+
+def test_stable_norm_budget_exceeded(bouquet, monkeypatch):
+    monkeypatch.setattr(crystal, "DEFAULT_NODE_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="node cap 100"):
+        stable_norm_estimate(*bouquet, (1, 1), 40)

@@ -303,6 +303,20 @@ class TestTabulated:
         assert np.allclose(rev.sigma_plus(s, 2.0),
                            -drift_tab.sigma_minus(1 - s, 2.0))
 
+    def test_grid_kernel_searches_all_levels_at_once(self):
+        """One crossing search over a ladder block of levels is bit for bit the
+        stack of one search per level, forward and reversed; a level below the
+        fiberwise minimum still raises."""
+        prof = EdgeProfile("e", self._from_quadratic(COS))
+        a = prof.a_e + 4e-7 * (1e7 ** (1 / 11999)) ** np.arange(516)
+        for grid in (prof.grid, prof.grid.reversed()):
+            rows = np.stack([grid.model._crossing(grid.cols, float(av), grid.right)
+                             for av in a])
+            want = rows @ grid.weights
+            np.testing.assert_array_equal(grid.sigma(a), want if grid.right else -want)
+            with pytest.raises(LevelBelowMinimum):
+                grid.sigma(np.append(a, prof.a_e - 1e-6))
+
 
 class TestEdgeAction:
     def test_free_closed_form(self):

@@ -256,7 +256,7 @@ def test_lagrangian_grid_matches_dense_scan(network, q_top):
 
 def test_lagrangian_grid_matches_dense_scan_tabulated(honeycomb):
     """A tabulated e0 (samples of the unit cosine model): its ladder grows
-    one crossing search per level, so one example only."""
+    by crossing searches, slower than the quadratic kernel, so one example only."""
     g, tm = honeycomb
     s, rho = np.linspace(0.0, 1.0, 9), np.linspace(-8.0, 8.0, 33)
     cos = QuadraticEdgeModel(potential=TrigPoly(cos=(-1.0,)))
@@ -340,6 +340,14 @@ def test_conjugation_table_has_a_budget(honeycomb_cos, monkeypatch):
 def test_hopf_sup_rejects_unknown_dual_sets(honeycomb_cos, radius, ord):
     with pytest.raises(ValueError, match="need radius >= 0 and ord 2 or inf"):
         MatherSolver(*honeycomb_cos).hopf_sup((0.5, 0.25), 1.0, radius, ord)
+
+
+@pytest.mark.parametrize("t", [NAN, INF, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
+def test_hopf_sup_rejects_non_positive_or_infinite_t(honeycomb_cos, t):
+    """The level search over a holds for 0 < t < inf only: t = -1 on this box
+    has a finite sup, yet its bracket expansion over a failed."""
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        MatherSolver(*honeycomb_cos).hopf_sup((0.5, 0.25), t, 1.5, np.inf)
 
 
 @pytest.mark.parametrize("method, arg, name", [
