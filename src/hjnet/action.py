@@ -43,7 +43,7 @@ _DUAL_SEARCHES = 16  # walk searches of one _dual_max before BudgetExceeded
 class ActionQuery:
     """Endpoints, horizon and rotation box of one minimal-action evaluation.
 
-    ``rotation_radius`` bounds the crystal box of ``min_action``.
+    ``rotation_radius``, an integer >= 0, bounds the crystal box of ``min_action``.
     """
 
     x: str
@@ -54,6 +54,9 @@ class ActionQuery:
 
     def __post_init__(self):
         integral("rotation vector h", self.h)
+        if self.rotation_radius is not None and not (
+                integral("rotation_radius", self.rotation_radius) >= 0):
+            raise ValueError(f"rotation_radius must be >= 0, not {self.rotation_radius}")
 
     def radius(self) -> int:
         if self.rotation_radius is not None:

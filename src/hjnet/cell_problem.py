@@ -28,7 +28,7 @@ import numpy as np
 
 from .base_graph import BaseGraph, Path, ThetaMap
 from .edge_calculus import EdgeProfiles, _increasing_root
-from .errors import BudgetExceeded, finite
+from .errors import BudgetExceeded, vector
 
 DEFAULT_BISECTION_TOL = 1e-8
 _CIRCUIT_BUDGET = 200_000  # enumerate_circuits raises beyond this many
@@ -48,7 +48,7 @@ def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     cycle weight is exactly zero; this sign is the solvability certificate
     for the cell problem at level a.
     """
-    w = _edge_weights(tm, profiles, np.asarray(p, dtype=float), a)
+    w = _edge_weights(tm, profiles, vector("p", p, tm.betti), a)
     n = len(g.vertices)
     # Karp: D[k, v] = min weight of a k-edge walk from the source to v
     D = np.full((n + 1, n), np.inf)
@@ -65,7 +65,7 @@ def min_cycle_weight(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
 def effective_hamiltonian(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                           p) -> float:
     """Critical level of the p-twisted cell problem (Mather's alpha at p)."""
-    p = finite("p", p)
+    p = vector("p", p, tm.betti)
     return _increasing_root(lambda a: min_cycle_weight(g, tm, profiles, p, a),
                             profiles.a0, DEFAULT_BISECTION_TOL)
 

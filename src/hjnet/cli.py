@@ -201,8 +201,7 @@ def cmd_homogenize(args):
         hpart, tpart = fields
         samples.append((_check_dim(_vector(hpart, "--samples h"), tm.betti, "sample h"),
                         _number(tpart, "--samples t")))
-    radius = None if args.radius is None else _number(args.radius, "--radius")
-    grid = ExperimentGrid(tuple(samples), _vector(args.eps, "--eps"), radius=radius)
+    grid = ExperimentGrid(tuple(samples), _vector(args.eps, "--eps"))
     report = convergence_experiment(g, tm, profiles, _datum(args, tm.betti), grid)
     header = (["eps"] + [f"h_{i+1}" for i in range(tm.betti)]
               + ["t", "u_eps", "u_limit", "abs_error"])
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True,
                    help="semicolon list of h@t samples, e.g. 0.5,0.25@1.0;1,0@0.5")
     p.add_argument("--eps", required=True, help="decreasing eps list, e.g. 0.25,0.125")
-    p.add_argument("--radius", type=float)
     p.add_argument("--summary", help="path for the JSON summary")
     p.set_defaults(fn=cmd_homogenize)
 

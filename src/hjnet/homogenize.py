@@ -5,9 +5,9 @@ The rescaled solution with initial datum g_eps(z) = g(eps pi2(z)) is
     u_eps(z, t) = min over vertices z0 of [ g_eps(z0) + eps Phi(z0, z, t/eps) ]
 
 with the minimum restricted to a ball eps d_V(z0, z) <= R that provably
-contains the minimizers (the ball radius follows from the datum's Lipschitz
-bound L and ``MatherSolver.reach``'s exact bound on the conjugate speeds
-|grad H_eff| over |p|_2 <= L + 1/2, and expands once if it binds).
+contains the minimizers: R = t q + 1 is derived, with q ``MatherSolver.reach``'s
+exact bound on |grad H_eff| over |p|_2 <= L + 1/2, L the datum's Lipschitz
+bound; R doubles once if the winner touches its rim, then ``RadiusExhausted``.
 Phi(z0, z, T) is min_action's dual bound max_{a >= a0} [Psi_a - aT], Psi_a
 the least walk weight from z0 into z in one reverse crystal box around z
 (``crystal.BoxGraph``).  The minimum is found by
@@ -28,7 +28,6 @@ each sample h with u at that vertex, along a decreasing list of eps.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +38,6 @@ from .edge_calculus import EdgeProfiles
 from .errors import RadiusExhausted, finite, integral, vector
 from .action import _dual_max, crystal_potential
 from .mather import MatherSolver
-
-logger = logging.getLogger(__name__)
 
 _DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
 
@@ -113,11 +110,10 @@ class TabulatedDatum(InitialDatum):
 
 @dataclass
 class ExperimentGrid:
-    """Sample points, eps schedule and ball radius for the experiment."""
+    """Sample points and eps schedule for the experiment."""
 
     samples: tuple[tuple[tuple[float, ...], float], ...]
     eps_list: tuple[float, ...]
-    radius: float | None = None
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -128,8 +124,6 @@ class ExperimentGrid:
             finite("sample point h", h)
         if not all(0 < eps < np.inf for eps in self.eps_list):
             raise ValueError("every eps must be positive and finite")
-        if self.radius is not None and not 0 < self.radius < np.inf:
-            raise ValueError(f"search radius {self.radius} must be positive and finite")
 
 
 def _check_dims(datum: InitialDatum, b: int):
@@ -175,13 +169,11 @@ def _box_lattice(center, radius: int):
 
 def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      datum: InitialDatum, z: CrystalVertex, t: float,
-                     eps: float, R: float | None = None) -> float:
+                     eps: float) -> float:
     """Value of the rescaled solution at crystal vertex z and time t: the
     least screened lower bound, refined exactly until the least one is exact."""
     if not (0 < t < np.inf and 0 < eps < np.inf):
         raise ValueError(f"t and eps must be positive and finite, not {t}, {eps}")
-    if R is not None and not 0 < R < np.inf:
-        raise ValueError(f"search radius R = {R} must be positive and finite")
     vector("lattice point z.h", z.h, tm.betti)
     integral("lattice point z.h", z.h)
     _check_dims(datum, tm.betti)
@@ -189,16 +181,12 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     L = _datum_lipschitz(datum, tm.betti)
     q_reach, a_cap = _reach_scales(solver, L)
     potential = crystal_potential(g, tm, profiles)
-    radius_given = R is not None
-    if R is None:
-        R = t * q_reach + 1.0
-    for attempt in range(2):
+    R = t * q_reach + 1.0
+    for _ in range(2):
         value, touches = _epsilon_solution_once(
             g, tm, profiles, potential, datum, z, t, eps, R, a_cap)
         if not touches:
             return value
-        if radius_given and attempt == 0:
-            logger.warning("search ball R=%.3g binding, expanding once", R)
         R *= 2.0
     raise RadiusExhausted(
         f"minimizer keeps touching the search ball even after expansion (R={R})")
@@ -282,7 +270,7 @@ def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
             h_z = tuple(int(k) for k in np.round(np.asarray(h, dtype=float) / eps))
             u = _limit_solution(solver, datum, eps * np.array(h_z, dtype=float), t)
             u_eps = epsilon_solution(g, tm, profiles, datum, CrystalVertex(x0, h_z),
-                                     t, eps, R=grid.radius)
+                                     t, eps)
             err = abs(u_eps - u)
             sup_err = max(sup_err, err)
             report.rows.append({"eps": eps, "h": h, "t": t, "u_eps": u_eps,

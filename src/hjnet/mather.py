@@ -9,8 +9,8 @@ slack, with S(a) from ``EdgeProfiles.sigma_all``; the test suite pins it to
 the cycle means of ``cell_problem.effective_hamiltonian``.  ``alpha_batch``
 interpolates each circuit on the append-only sigma ladder of ``EdgeProfiles``
 (a solver extends its circuit sums block by block, so answers are
-history-free).  ``reach`` gives the largest alpha on a ball and a bound on
-|grad alpha| there, both from the circuit levels.
+history-free).  ``reach`` gives the largest alpha on a ball by the same root
+search, and a bound on |grad alpha| there from the circuit secants at it.
 
 ``hopf_sup`` is the one conjugation: sup over p in D of <p, q> - t alpha(p) for
 D = R^b (beta) or the dual sets of ``homogenize.limit_solution``'s pieces, a
@@ -78,13 +78,15 @@ class ClosedFlow:
 def _face_table(rows: np.ndarray, sizes):
     """Every set of k independent rows, k in ``sizes``, as a face: its rows
     (padded with n, whose rhs is 0), the map A from their rhs to the face's
-    least-norm point, and the projector N onto its directions (0 at vertices)."""
+    least-norm point, and the projector N onto its directions (0 at vertices);
+    a set with a zero row is dependent, so only the nonzero rows combine."""
     n, b = rows.shape
-    if (count := sum(math.comb(n, k) for k in sizes)) > _FACE_BUDGET:
+    nonzero = np.flatnonzero(rows.any(axis=1))
+    if (count := sum(math.comb(nonzero.size, k) for k in sizes)) > _FACE_BUDGET:
         raise BudgetExceeded(f"conjugation table of {count} row sets exceeds {_FACE_BUDGET}")
     idx, A, N = [], [], []
     for k in sizes:
-        J = np.array([*itertools.combinations(range(n), k)], np.intp).reshape(-1 if k else 1, k)
+        J = np.array([*itertools.combinations(nonzero, k)], np.intp).reshape(-1 if k else 1, k)
         G = rows[J] @ rows[J].transpose(0, 2, 1)  # integer Gram matrices: det >= 1 or 0
         keep = np.linalg.det(G) > 0.5
         J, G = J[keep], G[keep]
@@ -143,30 +145,28 @@ class MatherSolver:
                            out=part)
         return out
 
-    def alpha(self, p) -> float:
-        """Effective Hamiltonian at a single p: the least level a >= a0 where
-        no circuit slack S_xi(a) - <p, theta(xi)> is negative, to 1e-11."""
-        r = self.circuit_theta @ vector("momentum p", p, self.tm.betti)
+    def _level(self, r: np.ndarray) -> float:
+        """The least a >= a0 at which every circuit sum S_xi(a) reaches r_xi, to 1e-11."""
         return _increasing_root(
             lambda a: float((self._circuit_edge_count @ self.profiles.sigma_all(a)
                              - r).min(initial=np.inf)), self.a0, 1e-11)
 
+    def alpha(self, p) -> float:
+        """Effective Hamiltonian at a single p: the least level a >= a0 where
+        no circuit slack S_xi(a) - <p, theta(xi)> is negative."""
+        return self._level(self.circuit_theta @ vector("momentum p", p, self.tm.betti))
+
     def reach(self, radius: float) -> tuple[float, float]:
         """The largest alpha on the ball |p|_2 <= radius, and a bound on
         |grad alpha|_2 there.  The largest <theta(xi), p> on the ball is
-        radius |theta(xi)|, so a_xi, the least a >= a0 where S_xi reaches it,
-        is the most that xi can set alpha to, and max a_xi is the max of alpha.
-        Where xi is critical at p, grad alpha = theta(xi) / S_xi'(alpha(p))
-        with alpha(p) <= a_xi; S_xi is concave, so its secant over
-        [a_xi, a_xi + d] bounds S_xi' on [a0, a_xi] from below."""
-        top, speed, d = self.a0, 0.0, 1e-6
-        for count, n in zip(self._circuit_edge_count,
-                            np.linalg.norm(self.circuit_theta, axis=1)):
-            a = _increasing_root(lambda a: count @ self.profiles.sigma_all(a) - radius * n,
-                                 self.a0, 1e-11)
-            rise = float(count @ (self.profiles.sigma_all(a + d) - self.profiles.sigma_all(a)))
-            top, speed = max(top, a), max(speed, n * d / rise)
-        return top, speed
+        radius |theta(xi)|, so a_cap, the least a where every S_xi reaches it,
+        is the max of alpha.  Where xi is critical at p, grad alpha =
+        theta(xi) / S_xi'(alpha(p)) with alpha(p) <= a_cap; S_xi is concave,
+        so its secant over [a_cap, a_cap + d] bounds S_xi' on [a0, a_cap]."""
+        n, d = np.linalg.norm(self.circuit_theta, axis=1), 1e-6
+        a_cap, sig = self._level(radius * n), self.profiles.sigma_all
+        rise = self._circuit_edge_count @ (sig(a_cap + d) - sig(a_cap))
+        return a_cap, float((n * d / rise).max(initial=0.0))
 
     # ----- beta and Hopf's formula by conjugation -----
 

@@ -6,7 +6,7 @@ from scipy.integrate import simpson
 from hjnet.action import LiftedReach, crystal_potential
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import BoxGraph, Crystal, CrystalVertex
-from hjnet.edge_calculus import _concave_max
+from hjnet.edge_calculus import _concave_max, _increasing_root
 from hjnet.errors import BudgetExceeded, Unreachable
 from hjnet.mather import MatherSolver
 
@@ -296,6 +296,19 @@ def lagrangian_grid_dense(solver, speeds):
             out[j, lo:lo + q.size] = np.where(k > 0, peak, vals[:, 0])
         out[j, speeds == 0.0] = -profiles[e].a_e
     return out
+
+
+def reach_per_circuit(solver, radius):
+    """``MatherSolver.reach`` by one root search per circuit: a_xi, the least
+    a >= a0 where S_xi reaches radius |theta(xi)|, the largest alpha as
+    max a_xi, and the speed bound from each circuit's secant at its own a_xi."""
+    top, speed, d = solver.a0, 0.0, 1e-6
+    sigma = solver.profiles.sigma_all
+    for count, n in zip(solver._circuit_edge_count,
+                        np.linalg.norm(solver.circuit_theta, axis=1)):
+        a = _increasing_root(lambda a: count @ sigma(a) - radius * n, solver.a0, 1e-11)
+        top, speed = max(top, a), max(speed, n * d / float(count @ (sigma(a + d) - sigma(a))))
+    return top, speed
 
 
 def conjugate_pair_check(g, tm, profiles, p, h, tol=1e-5):

@@ -359,3 +359,10 @@ def test_query_rejects_non_integer_h(h):
 def test_asymptotics_scan_rejects_non_finite_input(honeycomb_cos, direction, T_list):
     with pytest.raises(ValueError, match="finite"):
         asymptotics_scan(*honeycomb_cos, "x1", "x2", direction, T_list)
+
+
+@pytest.mark.parametrize("radius", [-1, 2.5, float("nan")], ids=["negative", "fractional", "nan"])
+def test_query_rejects_bad_rotation_radius(radius):
+    """-1 was read as an unreachable h and 2.5 as the box of radius 2."""
+    with pytest.raises(ValueError, match="rotation_radius must"):
+        ActionQuery("x1", "x2", 8.0, (0, 0), rotation_radius=radius)

@@ -130,24 +130,21 @@ def test_hop_bound_leaves_answers_unchanged(honeycomb_cos, drifted_loop,
 
     On the drifted loop the minimizer of the zero datum sits near h = -2 t
     (speed H_eff'(0) = 2), more than half way to the edge of the search ball
-    (R = 3 given, and R = 3.375 t + 1 by default), so a bound that covers
-    only part of the ball changes the answer.
+    (R = 3.375 t + 1), so a bound that covers only part of the ball changes
+    the answer.
     """
     cases = [
-        (honeycomb_cos, ConeDatum(1.5), CrystalVertex("x1", (4, 2)), 1.0, 1 / 8,
-         None),
-        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 2.0, 1 / 8,
-         None),
-        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 1.0, 1 / 8,
-         3.0),
+        (honeycomb_cos, ConeDatum(1.5), CrystalVertex("x1", (4, 2)), 1.0, 1 / 8),
+        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 2.0, 1 / 8),
+        (drifted_loop, LinearDatum((0.0,)), CrystalVertex("v", (0,)), 1.0, 1 / 8),
     ]
     queries = [(honeycomb_cos, ActionQuery("x1", "x2", 16.0, (3, -2))),
                (drifted_loop, ActionQuery("v", "v", 8.0, (5,))),
                (drifted_loop, ActionQuery("v", "v", 4.0, (-3,)))]
 
     def answers():
-        return ([epsilon_solution(*net, datum, z, t, eps, R=R)
-                 for net, datum, z, t, eps, R in cases]
+        return ([epsilon_solution(*net, datum, z, t, eps)
+                 for net, datum, z, t, eps in cases]
                 + [min_action(*net, q) for net, q in queries])
 
     bounded = answers()

@@ -204,3 +204,11 @@ def test_alpha_routes_agree_on_multigraphs(net, data):
 def test_effective_hamiltonian_rejects_non_finite_p(honeycomb_cos, p):
     with pytest.raises(ValueError, match="p must be finite"):
         effective_hamiltonian(*honeycomb_cos, p)
+
+
+@pytest.mark.parametrize("p", [(0.5,), (0.5, 0.25, 0.0), 0.5], ids=["short", "long", "scalar"])
+def test_rejects_wrong_length_p(honeycomb_cos, p):
+    with pytest.raises(ValueError, match="p must have b = 2 entries"):
+        effective_hamiltonian(*honeycomb_cos, p)
+    with pytest.raises(ValueError, match="p must have b = 2 entries"):
+        min_cycle_weight(*honeycomb_cos, p, honeycomb_cos[2].a0)

@@ -201,10 +201,11 @@ def test_config_sets_options_that_have_defaults(files, capsys):
 
 
 def test_config_values_are_validated(files, capsys):
-    cfg = files["tmp"] / "radius.json"
-    cfg.write_text(json.dumps({"radius": -1}))
-    assert main(_bouquet_args(files, *HOMOGENIZE, "--config", str(cfg))) == 2
-    assert "must be positive" in capsys.readouterr().err
+    cfg = files["tmp"] / "rotation.json"
+    cfg.write_text(json.dumps({"rotation-radius": -1}))
+    assert main(_bouquet_args(files, "action", "--x", "v", "--y", "v", "--T", "8",
+                              "--h", "0,0", "--config", str(cfg))) == 2
+    assert "rotation_radius must be >= 0" in capsys.readouterr().err
 
 
 def test_beta_has_no_search_box(files):
@@ -287,9 +288,12 @@ def test_asymptotics_rejects_empty_T_list(files, capsys):
 
 @pytest.mark.parametrize("radius", ["-1", "0"])
 def test_homogenize_rejects_nonpositive_radius(files, capsys, radius):
-    assert main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25@1",
-                              "--eps", "0.25,0.125", f"--radius={radius}")) == 2
-    assert "search radius" in capsys.readouterr().err
+    """The search ball is derived, so homogenize takes no --radius at all."""
+    with pytest.raises(SystemExit) as exc:
+        main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25@1",
+                           "--eps", "0.25,0.125", f"--radius={radius}"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
 
 def _tabulated_args(files, datum):
@@ -345,7 +349,6 @@ HOMOGENIZE = ["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25"]
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (HOMOGENIZE + ["--radius", "inf"], "--radius"),
     (["effective-hamiltonian", "--p", "nan,0"], "--p"),
     (["effective-hamiltonian", "--p", "inf,0"], "--p"),
     (["effective-hamiltonian", "--p-grid", "nan", "1", "3"], "--p-grid"),
@@ -354,14 +357,12 @@ HOMOGENIZE = ["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25"]
     (["action", "--x", "x1", "--y", "x1", "--T", "inf", "--h", "0,0"], "--T"),
     (["homogenize", "--samples", "0.5,0.25@nan", "--eps", "0.25"], "--samples"),
     (["homogenize", "--samples", "0.5,0.25@1", "--eps", "0.25,nan"], "--eps"),
-    (HOMOGENIZE + ["--radius", "nan"], "--radius"),
     (HOMOGENIZE + ["--datum", "cone", "--c", "nan"], "--c"),
     (HOMOGENIZE + ["--datum", "linear", "--p-datum", "nan,0"], "--p-datum"),
     (["asymptotics", "--x", "x1", "--y", "x1", "--h-direction", "0.5,0",
       "--T-list", "8,nan"], "--T-list"),
-], ids=["radius-inf", "p-nan", "p-inf",
-        "p-grid-nan", "h-nan", "T-nan", "T-inf", "samples-t-nan", "eps-nan",
-        "radius-nan", "c-nan", "p-datum-nan", "T-list-nan"])
+], ids=["p-nan", "p-inf", "p-grid-nan", "h-nan", "T-nan", "T-inf", "samples-t-nan",
+        "eps-nan", "c-nan", "p-datum-nan", "T-list-nan"])
 def test_rejects_non_finite_numbers(files, capsys, argv, flag):
     """Each number is checked where it is parsed: exit 2, naming its flag."""
     assert main([argv[0], "--graph", files["honeycomb.json"],
@@ -371,6 +372,6 @@ def test_rejects_non_finite_numbers(files, capsys, argv, flag):
 
 def test_config_numbers_must_be_finite(files, capsys):
     cfg = files["tmp"] / "nan.json"
-    cfg.write_text('{"radius": NaN}')
+    cfg.write_text('{"datum": "cone", "c": NaN}')
     assert main(_bouquet_args(files, *HOMOGENIZE, "--config", str(cfg))) == 2
-    assert "--radius nan is not a finite number" in capsys.readouterr().err
+    assert "--c nan is not a finite number" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hjnet.errors import RadiusExhausted
 from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                               TabulatedDatum, convergence_experiment,
                               epsilon_solution, limit_solution)
+from hjnet.mather import MatherSolver
 
 from oracles import epsilon_solution_dense
 
@@ -187,12 +188,15 @@ class TestEpsilonSolution:
             rate = (u2 - u1) / (t2 - t1)
             assert rate == pytest.approx(-profs.a0, abs=1e-9)
 
-    def test_radius_exhausted(self, bouquet_free):
+    def test_radius_exhausted(self, bouquet_free, monkeypatch):
+        # speed 0 makes R = 1, and R = 2 after the doubling, against the
+        # minimizer's distance of about 6 t
         g, tm, profs = bouquet_free
+        _bind_ball(monkeypatch, 0.0)
         steep = LinearDatum((6.0, 0.0))  # pulls the minimizer far away
         with pytest.raises(RadiusExhausted):
             epsilon_solution(g, tm, profs, steep, CrystalVertex("v", (0, 0)),
-                             1.0, 0.5, R=0.5)
+                             1.0, 0.5)
 
     def test_tree_ball_reaches_a_far_minimizer(self):
         """On a tree (b = 0) alpha is flat, yet the minimizer sits base-graph
@@ -209,12 +213,14 @@ class TestEpsilonSolution:
         assert got == pytest.approx(epsilon_solution_dense(
             g, tm, profs, ConeDatum(1.0), z, 3.0, 1.0, 4.0, profs.a0 + 16.0), abs=1e-9)
 
-    def test_ball_check_reads_the_winner(self, bouquet_free):
-        # R = 1.6 binds once; in the doubled ball the last vertex refined lies
-        # on the rim but the winner does not, so the ball must not bind again
+    def test_ball_check_reads_the_winner(self, bouquet_free, monkeypatch):
+        # speed 1.2 at t = 0.5 makes R = 1.6, which binds once; in the doubled
+        # ball the last vertex refined lies on the rim but the winner does not,
+        # so the ball must not bind again
         g, tm, profs = bouquet_free
+        _bind_ball(monkeypatch, 1.2)
         got = epsilon_solution(g, tm, profs, LinearDatum((6.0, 0.0)),
-                               CrystalVertex("v", (4, 2)), 0.5, 0.125, R=1.6)
+                               CrystalVertex("v", (4, 2)), 0.5, 0.125)
         # <p, h> - t H_eff(p) at h = (0.5, 0.25), with H_eff(p) = |p|_inf^2 / 2
         assert got == pytest.approx(6.0 * 0.5 - 0.5 * 6.0**2 / 2, abs=1e-9)
 
@@ -227,10 +233,18 @@ class TestEpsilonSolution:
 
     @pytest.mark.parametrize("R", [0.0, -1.0, NAN, INF])
     def test_rejects_nonpositive_radius(self, bouquet_free, R):
+        """The ball is derived from the datum and ``reach``: no radius is taken."""
         g, tm, profs = bouquet_free
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(TypeError, match="'R'"):
             epsilon_solution(g, tm, profs, ZERO, CrystalVertex("v", (0, 0)),
                              1.0, 0.5, R=R)
+
+
+def _bind_ball(monkeypatch, speed):
+    """Make ``epsilon_solution``'s ball R = t speed + 1, keeping the real level cap."""
+    reach = homogenize._reach_scales
+    monkeypatch.setattr(homogenize, "_reach_scales",
+                        lambda solver, L: (speed, reach(solver, L)[1]))
 
 
 def _vertex(x, h, eps):
@@ -250,9 +264,11 @@ TABLE = TabulatedDatum(((0.0, 0.0), (1.0, 0.5), (-0.5, 1.0)), (0.3, -0.2, 0.5), 
         "k4-drift-eps4"])
 def test_epsilon_solution_matches_dense_oracle(request, network, datum, x, h, t,
                                                eps, R):
+    """The library derives its ball (R = 2.888, 2.888, 3.125 and 1.891); the
+    oracle searches the ball R given here, which also holds the minimizer."""
     g, tm, profs = request.getfixturevalue(network)
     z = _vertex(x, h, eps)
-    got = epsilon_solution(g, tm, profs, datum, z, t, eps, R=R)
+    got = epsilon_solution(g, tm, profs, datum, z, t, eps)
     want = epsilon_solution_dense(g, tm, profs, datum, z, t, eps, R, profs.a0 + 16.0)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -268,8 +284,8 @@ def test_certification_not_the_screen_decides(honeycomb_cos_quarter, monkeypatch
 
 
 def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
-    # criterion 7(c) at eps = 1/8; the ball R/eps = 24 does not expand, so
-    # every full-ball level belongs to the one screen
+    # criterion 7(c) at eps = 1/8; the derived ball R/eps (23.1) does not
+    # expand, so every full-ball level belongs to the one screen
     rows = []
     levels = BoxGraph.levels
 
@@ -280,9 +296,11 @@ def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
 
     monkeypatch.setattr(BoxGraph, "levels", spy)
     epsilon_solution(*honeycomb_cos_quarter, ConeDatum(1.5),
-                     _vertex("x1", (0.5, 0.25), 1 / 8), 1.0, 1 / 8, R=3.0)
-    assert max(rows) == 24.0
-    assert rows.count(24.0) == homogenize._DUAL_LEVELS
+                     _vertex("x1", (0.5, 0.25), 1 / 8), 1.0, 1 / 8)
+    q = homogenize._reach_scales(MatherSolver(*honeycomb_cos_quarter), 1.5 * np.sqrt(2))[0]
+    ball = (1.0 * q + 1.0) / (1 / 8)
+    assert max(rows) == ball == pytest.approx(23.1, abs=0.1)
+    assert rows.count(ball) == homogenize._DUAL_LEVELS
 
 
 @pytest.mark.parametrize("anchors, values, lipschitz", [
@@ -310,7 +328,8 @@ class TestConvergenceExperiment:
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, NAN, INF])
     def test_grid_rejects_nonpositive_radius(self, radius):
-        with pytest.raises(ValueError, match="must be positive"):
+        """``epsilon_solution`` derives its ball, so the grid takes no radius."""
+        with pytest.raises(TypeError, match="'radius'"):
             ExperimentGrid((((0.0, 0.0), 1.0),), (0.25, 0.125), radius=radius)
 
     @pytest.mark.parametrize("t, eps_list", [(NAN, (0.25,)), (1.0, (0.25, NAN)),
