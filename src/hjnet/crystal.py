@@ -28,6 +28,10 @@ node within k arcs keeps its distance bit for bit; nodes farther out may
 read inf.  ``BoxGraph.levels`` yields one level at a time, so a caller can
 reduce over levels without stacking them; ``BoxGraph.walk`` reads one node of
 one level, with a shortest walk to it from the search's predecessors.
+``hop_reach`` bounds how far from the source a walk of k arcs can go, by a
+max-plus power on the base graph; a box of that radius plus one, whose
+searches check that they settle none of its outer layer (``rim_check``),
+serves a hop-bounded search as any larger box would.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .base_graph import BaseGraph, ThetaMap
 from .errors import (BudgetExceeded, ConvergenceFailure, NegativeReducedWeight,
-                     integral, vector)
+                     RimReached, integral, vector)
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -107,6 +111,26 @@ def _hop_distances(g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
             return [int(x) for x in d]
         radius = int(max(d))
     raise BudgetExceeded(f"{targets} unreachable from {source}")  # cannot happen: connected
+
+
+def hop_reach(g: BaseGraph, tm: ThetaMap, x: str, k: float, cap: int) -> int:
+    """min(cap, E(k)), E(k) the largest |h_i| that a crystal walk of at most k
+    arcs from (x, 0) reaches; 0 when b = 0.
+
+    E(k) is a max-plus matrix power on the base graph (Baccelli, Cohen, Olsder
+    and Quadrat 1992): one step over every edge per arc, for all axes i and
+    signs at once, stopping at cap, so k may be infinite.
+    """
+    if tm.betti == 0:
+        return 0
+    step = np.hstack([tm.matrix, -tm.matrix])
+    reach = np.full((len(g.vertices), step.shape[1]), -np.inf)
+    reach[g.vertices.index(x)] = 0.0
+    arcs = 0
+    while arcs < k and reach.max() < cap:
+        np.maximum.at(reach, g.terminus_index, reach[g.origin_index] + step)
+        arcs += 1
+    return int(min(cap, reach.max()))
 
 
 def _shift_slices(offset, n):
@@ -194,10 +218,17 @@ class BoxGraph:
     arc points backwards and searches give walk weights INTO the source.
     ``hops`` gives graph distances, ``levels`` streams weighted searches over
     the box and ``walk`` reads one node of one search, with a walk to it.
+
+    With ``rim_check=True`` every weighted search raises ``RimReached`` if it
+    settles a node of the outer layer |h - h_s|_inf = r.  A search that
+    passes ran the same operations in the same order as in any larger box:
+    each theta(e) is zero or a unit vector, so a walk leaving the box crosses
+    that layer, and node and arc orders agree (hence the same floats and
+    predecessors).
     """
 
     def __init__(self, g: BaseGraph, tm: ThetaMap, source: CrystalVertex,
-                 radius: int, reverse: bool = False):
+                 radius: int, reverse: bool = False, rim_check: bool = False):
         if radius < 0:
             raise ValueError(f"crystal box radius {radius} is negative")
         self.g = g
@@ -231,6 +262,11 @@ class BoxGraph:
         self._source = int(np.ravel_multi_index(self.index(source.base, source.h),
                                                 self.shape))
         self._hops = None
+        self._rim = None
+        if rim_check:
+            inner = np.zeros(cells.shape, dtype=bool)
+            inner[(slice(1, n - 1),) * tm.betti] = True
+            self._rim = np.flatnonzero(~np.broadcast_to(inner, self.shape))
 
     def index(self, vertex: str, h) -> tuple[int, ...]:
         """Array index of crystal vertex (vertex, h); ValueError outside the box."""
@@ -291,17 +327,23 @@ class BoxGraph:
 
     def _search(self, w, shift, max_hops, predecessors=False):
         """One Dijkstra search from the source under the reduced weights of
-        ``w``, stopping at the reduced distance that covers ``max_hops`` arcs."""
+        ``w``, stopping at the reduced distance that covers ``max_hops`` arcs;
+        RimReached if rim-checked and it settled the outer layer."""
         w_red = reduced_weights(w, shift)
-        np.take(w_red, self._arc_edge, out=self._graph.data)
+        np.take(w_red, self._arc_edge, out=self._graph.data, mode="clip")
         # the k arcs of a shortest-hop walk weigh at most k max(w_red);
         # their float sum can exceed that by about k ulps, which the
         # relative slack covers for any box that fits in memory
         limit = np.inf
         if np.isfinite(max_hops):
             limit = max_hops * w_red.max(initial=0.0) * (1.0 + 1e-9)
-        return dijkstra(self._graph, indices=self._source, limit=limit,
-                        return_predecessors=predecessors)
+        out = dijkstra(self._graph, indices=self._source, limit=limit,
+                       return_predecessors=predecessors)
+        d = out[0] if predecessors else out
+        if self._rim is not None and np.isfinite(d[self._rim]).any():
+            raise RimReached(f"a search in the box of radius {self.radius} around "
+                             f"{self.source} settled its outer layer")
+        return out
 
     def _unshift(self, potential: Potential) -> np.ndarray:
         """Phi(x, h) - Phi(source) per box node, signed by the search direction.

@@ -74,3 +74,7 @@ class RadiusExhausted(HJNetError):
 
 class NegativeReducedWeight(HJNetError):
     """A Johnson-reweighted crystal arc weight is negative beyond tolerance."""
+
+
+class RimReached(HJNetError):
+    """A rim-checked crystal search settled a node of its box's outer layer."""

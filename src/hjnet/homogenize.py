@@ -10,7 +10,13 @@ exact bound on |grad H_eff| over |p|_2 <= L + 1/2, L the datum's Lipschitz
 bound; R doubles once if the winner touches its rim, then ``RadiusExhausted``.
 Phi(z0, z, T) is min_action's dual bound max_{a >= a0} [Psi_a - aT], Psi_a
 the least walk weight from z0 into z in one reverse crystal box around z
-(``crystal.BoxGraph``).  The minimum is found by
+(``crystal.BoxGraph``).  That box is sized by the hop reach of its searches,
+not by the ball: a search stopped at R/eps max(w_red) settles no node more
+than K = floor(R/eps max(w_red)/min(w_red)) arcs from z, hence none beyond
+``crystal.hop_reach``(K) of it.  Every search in a box smaller than the
+ball's ceil(R/eps) + 1 checks that it settled none of the box's outer
+layer, and the call reruns in the ball's box if one did; a search that
+passes is the ball box's search, float for float.  The minimum is found by
 lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
 the box, each level a Dijkstra search that stops once the ball (at most R/eps
 arcs from z) is settled, into a running max: a lower bound per vertex.  The
@@ -33,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_graph import BaseGraph, ThetaMap
-from .crystal import BoxGraph, CrystalVertex
+from .crystal import BoxGraph, CrystalVertex, hop_reach, reduced_weights
 from .edge_calculus import EdgeProfiles
-from .errors import RadiusExhausted, finite, integral, vector
+from .errors import RadiusExhausted, RimReached, finite, integral, vector
 from .action import _dual_max, crystal_potential
 from .mather import MatherSolver
 
@@ -192,35 +198,64 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         f"minimizer keeps touching the search ball even after expansion (R={R})")
 
 
+def _box_radius(g, tm, z, w_red, hops_allowed, rbox) -> int:
+    """Radius r = min(rbox, E(K) + 1) of the reverse box around z, with
+    E(K) = ``hop_reach`` at K = floor(R/eps rho), rho the largest max/min
+    ratio of the reduced weights ``w_red`` (one row per screen level).  A
+    search stopped at R/eps max(w_red) settles only nodes at most K arcs
+    from z, so none on the outer layer; rbox if a reduced weight is 0.
+    As rho >= 1, the box holds every walk of at most R/eps arcs, so the hop
+    counts that ``_epsilon_solution_once`` reads are those of the ball."""
+    lo, hi = w_red.min(axis=1), w_red.max(axis=1)
+    if not (lo > 0).all():
+        return rbox
+    K = np.floor(hops_allowed * (hi / lo).max())
+    return hop_reach(g, tm, z.base, K, rbox - 1) + 1
+
+
 def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
                            a_cap):
+    """Least u_eps over the vertices within R/eps arcs of z, and whether the
+    winner touches the ball's rim; searched in the rim-checked box of
+    ``_box_radius``, and again in the box of radius ceil(R/eps) + 1, which
+    every walk of at most R/eps arcs stays inside, if a search settles that
+    box's outer layer."""
     T = t / eps
     hops_allowed = R / eps
     rbox = int(np.ceil(hops_allowed)) + 1
     offset = max(a_cap - profiles.a0, 1.0)
-
-    box = BoxGraph(g, tm, z, rbox, reverse=True)
-    hops = box.hops()
-    g_vals = (datum.value(eps * _box_lattice(z.h, rbox).astype(float)) if tm.betti
-              else np.asarray(datum.value(np.zeros(0))))
-
-    # screen: the best level of one a-grid bounds each vertex's dual from below
     a_vals = _a_grid(profiles.a0, offset, _DUAL_LEVELS)
-    best = np.full(box.shape, -np.inf)
-    for phi, a in zip(box.levels(profiles.sigma_all(a_vals).T, potential,
-                                 max_hops=hops_allowed), a_vals):
-        np.maximum(best, np.subtract(phi, a * T, out=phi), out=best)
-    u = np.where(hops <= hops_allowed, g_vals + eps * best, np.inf)
-    if not np.isfinite(u.min()):
-        raise RadiusExhausted("no admissible starting vertex in the ball")
+    sig = profiles.sigma_all(a_vals).T
 
-    # certify: a least lower bound that is exact is the minimum
-    exact = np.zeros(box.shape, dtype=bool)
-    while not exact[(w := np.unravel_index(np.argmin(u), u.shape))]:
-        dual = _dual_max(box, profiles, potential, w, T, offset)[0]
-        u[w] = max(u[w], g_vals[w[1:]] + eps * dual)
-        exact[w] = True
-    return float(u[w]), bool(hops[w] > hops_allowed - 1.5)
+    def search(box):
+        hops = box.hops()
+        g_vals = (datum.value(eps * _box_lattice(z.h, box.radius).astype(float))
+                  if tm.betti else np.asarray(datum.value(np.zeros(0))))
+
+        # screen: the best level of one a-grid bounds each vertex's dual from below
+        best = np.full(box.shape, -np.inf)
+        for phi, a in zip(box.levels(sig, potential, max_hops=hops_allowed), a_vals):
+            np.maximum(best, np.subtract(phi, a * T, out=phi), out=best)
+        u = np.where(hops <= hops_allowed, g_vals + eps * best, np.inf)
+        if not np.isfinite(u.min()):
+            raise RadiusExhausted("no admissible starting vertex in the ball")
+
+        # certify: a least lower bound that is exact is the minimum
+        exact = np.zeros(box.shape, dtype=bool)
+        while not exact[(w := np.unravel_index(np.argmin(u), u.shape))]:
+            dual = _dual_max(box, profiles, potential, w, T, offset)[0]
+            u[w] = max(u[w], g_vals[w[1:]] + eps * dual)
+            exact[w] = True
+        return float(u[w]), bool(hops[w] > hops_allowed - 1.5)
+
+    r = _box_radius(g, tm, z, reduced_weights(sig, potential.edge_shift(g, tm)),
+                    hops_allowed, rbox)
+    if r < rbox:
+        try:
+            return search(BoxGraph(g, tm, z, r, reverse=True, rim_check=True))
+        except RimReached:
+            pass
+    return search(BoxGraph(g, tm, z, rbox, reverse=True))
 
 
 def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,

@@ -119,6 +119,19 @@ def drifted_loop():
     return g, tm, profiles
 
 
+@pytest.fixture(scope="session")
+def path_tree():
+    """The path a-b-c-d-e (b = 0), drifted, with a potential on its last edge."""
+    g = build_graph({"vertices": list("abcde"),
+                     "edges": [{"id": f"t{i}", "from": u, "to": v}
+                               for i, (u, v) in enumerate(["ab", "bc", "cd", "de"])]})
+    tm = theta_map(g, spanning_tree(g))
+    profs = build_profiles(g, {e: QuadraticEdgeModel(
+        drift=TrigPoly(const=1.5), potential=TrigPoly(cos=(-0.5 if e == "t3" else 0.0,)))
+        for e in g.orientation})
+    return g, tm, profs
+
+
 @st.composite
 def networks(draw):
     """Connected multigraphs on 1-4 vertices with self-loops, multi-edges and

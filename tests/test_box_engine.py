@@ -21,7 +21,7 @@ from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import (BoxGraph, Crystal, CrystalVertex, Potential,
                            reduced_weights)
 from hjnet.edge_calculus import _concave_max
-from hjnet.errors import NegativeReducedWeight
+from hjnet.errors import NegativeReducedWeight, RimReached
 from hjnet.homogenize import ConeDatum, LinearDatum, epsilon_solution
 
 from conftest import networks
@@ -151,6 +151,61 @@ def test_hop_bound_leaves_answers_unchanged(honeycomb_cos, drifted_loop,
     replaced = _unbounded_dijkstra(monkeypatch)
     assert answers() == bounded
     assert sum(replaced) >= len(cases) + len(queries)
+
+
+def _bfs_reach(g, tm, x, k_max, G, radius):
+    """Largest |h_i| over the crystal vertices within k hops of (x, 0), for
+    k = 0..k_max, by networkx BFS on G, the box of the given radius around 0;
+    None if BFS reaches the box's outer layer, where a walk might leave it."""
+    zero = (0,) * tm.betti
+    hops = nx.single_source_shortest_path_length(G, (x, zero), cutoff=k_max)
+    dh = {node: max(map(abs, node[1]), default=0) for node in hops}
+    if max(dh.values()) >= radius:
+        return None
+    return [max(dh[node] for node, d in hops.items() if d <= k) for k in range(k_max + 1)]
+
+
+def _assert_hop_reach(g, tm, k_max, sources):
+    """``hop_reach`` at K = 0..k_max from each source vertex against BFS in a
+    box one layer wider than the largest reach it claims."""
+    got = {x: [crystal.hop_reach(g, tm, x, k, 10**6) for k in range(k_max + 1)]
+           for x in sources}
+    radius = max(r[-1] for r in got.values()) + 1
+    G = _nx_box(g, tm, (0,) * tm.betti, radius)
+    for x in sources:
+        assert got[x] == _bfs_reach(g, tm, x, k_max, G, radius)
+
+
+@pytest.mark.parametrize("network", ["honeycomb", "k4_mixed", "bouquet",
+                                     "drifted_loop", "path_tree"])
+def test_hop_reach_matches_bfs(request, network):
+    """K = 0..20 from every vertex; the cap stops an unbounded K."""
+    g, tm = request.getfixturevalue(network)[:2]
+    _assert_hop_reach(g, tm, 20, g.vertices)
+    assert crystal.hop_reach(g, tm, g.vertices[0], np.inf, 7) == (7 if tm.betti else 0)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(net=networks(), data=st.data())
+def test_hop_reach_matches_bfs_on_random_networks(net, data):
+    g, tm, _ = net
+    _assert_hop_reach(g, tm, 5, [data.draw(st.sampled_from(g.vertices))])
+
+
+def test_rim_check_raises_on_the_outer_layer(honeycomb_cos):
+    """A rim-checked search raises once it settles a node with
+    |h - h_s|_inf = r, and leaves a search that stays inside unchanged."""
+    g, tm, profs = honeycomb_cos
+    pot = crystal_potential(g, tm, profs)
+    w = profs.sigma_all(profs.a0 + np.array([0.5])).T
+    source = CrystalVertex("x1", (1, -2))
+    checked = BoxGraph(g, tm, source, 3, reverse=True, rim_check=True)
+    with pytest.raises(RimReached):
+        list(checked.levels(w, pot))
+    plain = BoxGraph(g, tm, source, 3, reverse=True)
+    within = next(plain.levels(w, pot, max_hops=4))
+    assert np.isinf(within[:, [0, -1], :]).all() and np.isinf(within[:, :, [0, -1]]).all()
+    np.testing.assert_array_equal(next(checked.levels(w, pot, max_hops=4)), within)
 
 
 def test_negative_box_radius_rejected(honeycomb):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hjnet import build_graph, homogenize, spanning_tree, theta_map
+from hjnet import homogenize
 from hjnet.cell_problem import effective_hamiltonian
 from hjnet.crystal import BoxGraph, CrystalVertex
 from hjnet.edge_calculus import QuadraticEdgeModel, TrigPoly, build_profiles
@@ -198,16 +198,10 @@ class TestEpsilonSolution:
             epsilon_solution(g, tm, profs, steep, CrystalVertex("v", (0, 0)),
                              1.0, 0.5)
 
-    def test_tree_ball_reaches_a_far_minimizer(self):
+    def test_tree_ball_reaches_a_far_minimizer(self, path_tree):
         """On a tree (b = 0) alpha is flat, yet the minimizer sits base-graph
         hops away: the default ball (unit speed) holds it at eps = 1."""
-        g = build_graph({"vertices": list("abcde"),
-                         "edges": [{"id": f"t{i}", "from": u, "to": v}
-                                   for i, (u, v) in enumerate(["ab", "bc", "cd", "de"])]})
-        tm = theta_map(g, spanning_tree(g))
-        profs = build_profiles(g, {e: QuadraticEdgeModel(
-            drift=TrigPoly(const=1.5), potential=TrigPoly(cos=(-0.5 if e == "t3" else 0.0,)))
-            for e in g.orientation})
+        g, tm, profs = path_tree
         z = CrystalVertex("e", ())
         got = epsilon_solution(g, tm, profs, ConeDatum(1.0), z, 3.0, 1.0)
         assert got == pytest.approx(epsilon_solution_dense(
@@ -301,6 +295,86 @@ def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
     ball = (1.0 * q + 1.0) / (1 / 8)
     assert max(rows) == ball == pytest.approx(23.1, abs=0.1)
     assert rows.count(ball) == homogenize._DUAL_LEVELS
+
+
+def _pin_radius(monkeypatch, first=None):
+    """Make the first reverse box of each search ball have radius ``first``,
+    or the unchecked radius ceil(R/eps) + 1 if None."""
+    monkeypatch.setattr(homogenize, "_box_radius", lambda g, tm, z, w_red, hops, rbox:
+                        rbox if first is None else first)
+
+
+def _reverse_box_radii(monkeypatch):
+    """Radii of the reverse boxes built from now on, in build order."""
+    radii, init = [], BoxGraph.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        if self.reverse:
+            radii.append(self.radius)
+
+    monkeypatch.setattr(BoxGraph, "__init__", spy)
+    return radii
+
+
+@pytest.mark.parametrize("network, datum, x, h, t, eps", [
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.25, 0.0), 1.0, 1 / 16),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.25), 1.0, 1 / 16),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.25, 0.0), 1.0, 1 / 32),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.25), 1.0, 1 / 32),
+    ("k4_mixed", ConeDatum(1.5), "a", (0.5, 0.25, 0.0), 1.0, 1 / 8),
+    ("drifted_loop", LinearDatum((0.0,)), "v", (0.0,), 2.0, 1 / 8),
+    ("path_tree", ConeDatum(1.0), "e", (), 3.0, 1 / 4),
+    ("k4_drift", ConeDatum(1.5), "a", (0.5, 0.25, 0.0), 0.5, 1 / 4),
+], ids=["honeycomb-quarter-16-a", "honeycomb-quarter-16-b", "honeycomb-quarter-32-a",
+        "honeycomb-quarter-32-b", "k4-mixed-8", "drifted-loop", "tree", "k4-drift"])
+def test_sized_box_answers_match_the_full_box(request, monkeypatch, network, datum,
+                                               x, h, t, eps):
+    """The box sized by hop reach gives the float of the box of radius
+    ceil(R/eps) + 1, repr for repr."""
+    args = (*request.getfixturevalue(network), datum, _vertex(x, h, eps), t, eps)
+    got = epsilon_solution(*args)
+    _pin_radius(monkeypatch)
+    assert repr(got) == repr(epsilon_solution(*args))
+
+
+def test_zero_reduced_weight_keeps_the_full_box(k4_drift, monkeypatch):
+    """At a0 a reduced weight of k4-drift is 0, so no hop count bounds the
+    searches and the box keeps radius ceil(R/eps) + 1."""
+    g, tm, profs = k4_drift
+    radii = _reverse_box_radii(monkeypatch)
+    datum, t, eps = ConeDatum(1.5), 0.5, 1 / 4
+    epsilon_solution(g, tm, profs, datum, _vertex("a", (0.5, 0.25, 0.0), eps), t, eps)
+    q = homogenize._reach_scales(MatherSolver(g, tm, profs),
+                                 homogenize._datum_lipschitz(datum, 3))[0]
+    assert radii == [int(np.ceil((t * q + 1.0) / eps)) + 1]
+
+
+@pytest.mark.parametrize("network, x, h, eps, today, bound", [
+    ("honeycomb_cos_quarter", "x1", (0.5, 0.25), 1 / 32, 94, 52),
+    ("k4_mixed", "a", (0.5, 0.25, 0.0), 1 / 8, 22, 12),
+], ids=["honeycomb-quarter-32", "k4-mixed-8"])
+def test_reverse_box_sized_by_hop_reach(request, monkeypatch, network, x, h, eps,
+                                        today, bound):
+    """One reverse box, about half the radius ceil(R/eps) + 1 (``today``),
+    when no search settles its outer layer."""
+    radii = _reverse_box_radii(monkeypatch)
+    epsilon_solution(*request.getfixturevalue(network), ConeDatum(1.5),
+                     _vertex(x, h, eps), 1.0, eps)
+    assert len(radii) == 1 and radii[0] <= bound < today
+
+
+def test_outer_layer_hit_reruns_in_the_full_box(honeycomb_cos_quarter, monkeypatch):
+    """At eps = 1/32 the screen settles nodes out to |dh|_inf = 49; a first
+    box of radius 46 fails its rim check, and the rerun in the box of radius
+    94 returns the unchecked float."""
+    args = (*honeycomb_cos_quarter, ConeDatum(1.5), _vertex("x1", (0.5, 0.25), 1 / 32),
+            1.0, 1 / 32)
+    want = epsilon_solution(*args)
+    radii = _reverse_box_radii(monkeypatch)
+    _pin_radius(monkeypatch, 46)
+    assert repr(epsilon_solution(*args)) == repr(want)
+    assert radii == [46, 94]
 
 
 @pytest.mark.parametrize("anchors, values, lipschitz", [
