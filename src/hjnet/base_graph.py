@@ -7,7 +7,8 @@ has reverse ``e1~``).  A fixed spanning tree turns the cycle space into
 integer coordinates: every positive non-tree edge closes one fundamental
 circuit, and expressing incidence vectors in the basis of those circuits
 yields the map ``theta`` used everywhere downstream (crystal construction,
-cycle weights, rotation vectors).
+cycle weights, rotation vectors).  One BFS builds the tree; the vertices it
+misses reject a disconnected graph, and its parent edges close the circuits.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class BaseGraph:
 def build_graph(spec: dict) -> BaseGraph:
     """Build a BaseGraph from ``{"vertices": [...], "edges": [{"id","from","to"}]}``.
 
-    Reversed edges are implicit; connectivity is verified.
+    Reversed edges are implicit; connectivity is verified by ``spanning_tree``.
     """
     vertices = list(spec["vertices"])
     if len(set(vertices)) != len(vertices):
@@ -103,31 +104,16 @@ def build_graph(spec: dict) -> BaseGraph:
             raise DanglingEndpoint(f"edge {eid!r} endpoint not in vertex list")
         edges[eid] = OrientedEdge(eid, u, v, rid, True)
         edges[rid] = OrientedEdge(rid, v, u, eid, False)
+    if not vertices:
+        raise DisconnectedGraph("graph has no vertices")
     g = BaseGraph(vertices, edges, [e for e, oe in edges.items() if oe.is_positive])
-    _check_connected(g)
+    spanning_tree(g)
     return g
 
 
 def load_graph(path: str) -> BaseGraph:
     with open(path) as fh:
         return build_graph(json.load(fh))
-
-
-def _check_connected(g: BaseGraph):
-    if not g.vertices:
-        raise DisconnectedGraph("graph has no vertices")
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for e in g.star(v):
-            w = g.terminus(e)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != len(g.vertices):
-        missing = sorted(set(g.vertices) - seen)
-        raise DisconnectedGraph(f"vertices unreachable from {g.vertices[0]!r}: {missing}")
 
 
 def betti(g: BaseGraph) -> int:
@@ -139,27 +125,30 @@ def betti(g: BaseGraph) -> int:
 class SpanningTree:
     root: str
     tree_edges: frozenset[str]  # closed under involution
+    # vertex -> tree edge into it from its parent; set by root and tree_edges
+    parent: dict[str, str] = field(compare=False)
 
     def contains(self, edge_id: str) -> bool:
         return edge_id in self.tree_edges
 
 
 def spanning_tree(g: BaseGraph) -> SpanningTree:
-    """Deterministic BFS tree from the smallest vertex id, edges tie-broken by id."""
+    """Deterministic BFS tree from the smallest vertex id, edges tie-broken by
+    id; DisconnectedGraph names the vertices it does not reach."""
     root = g.vertices[0]
-    visited = {root}
-    tree: set[str] = set()
+    parent: dict[str, str] = {}
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for e in g.star(v):
             w = g.terminus(e)
-            if w not in visited:
-                visited.add(w)
-                tree.add(e)
-                tree.add(g.reversed(e))
+            if w != root and w not in parent:
+                parent[w] = e
                 queue.append(w)
-    return SpanningTree(root, frozenset(tree))
+    if missing := sorted(set(g.vertices) - set(parent) - {root}):
+        raise DisconnectedGraph(f"vertices unreachable from {root!r}: {missing}")
+    tree = frozenset(parent.values()) | {g.reversed(e) for e in parent.values()}
+    return SpanningTree(root, tree, parent)
 
 
 @dataclass
@@ -183,52 +172,29 @@ class ThetaMap:
 
 
 def _tree_path(g: BaseGraph, t: SpanningTree, start: str, goal: str) -> Path:
-    """Unique simple path inside the tree from start to goal."""
-    if start == goal:
-        return Path(())
-    prev: dict[str, str] = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        v = queue.popleft()
-        for e in g.star(v):
-            if not t.contains(e):
-                continue
-            w = g.terminus(e)
-            if w not in seen:
-                seen.add(w)
-                prev[w] = e
-                if w == goal:
-                    queue.clear()
-                    break
-                queue.append(w)
-    edges = []
-    v = goal
-    while v != start:
-        e = prev[v]
-        edges.append(e)
-        v = g.origin(e)
-    return Path(tuple(reversed(edges)))
+    """Unique simple path inside the tree from start to goal, by parent edges."""
+    def up(v):  # the edges from v to the root
+        while v != t.root:
+            yield g.reversed(t.parent[v])
+            v = g.origin(t.parent[v])
+
+    rise, fall = list(up(start)), list(up(goal))
+    while rise and fall and rise[-1] == fall[-1]:
+        rise.pop()
+        fall.pop()
+    return Path(tuple(rise) + tuple(g.reversed(e) for e in reversed(fall)))
 
 
 def theta_map(g: BaseGraph, t: SpanningTree) -> ThetaMap:
     basis = tuple(e for e in g.orientation if not t.contains(e))
-    b = len(basis)
-    theta = {}
-    for e in g.edges:
-        theta[e] = np.zeros(b, dtype=int)
+    unit = np.eye(len(basis), dtype=int)
+    theta = {e: np.zeros(len(basis), dtype=int) for e in g.edges}
     for j, e in enumerate(basis):
-        vec = np.zeros(b, dtype=int)
-        vec[j] = 1
-        theta[e] = vec
-        theta[g.reversed(e)] = -vec
-    circuits = {}
-    for e in basis:
-        back = _tree_path(g, t, g.terminus(e), g.origin(e))
-        circuits[e] = Path((e,) + back.edges)
-    matrix = np.array([theta[e] for e in g.edge_order],
-                      dtype=int).reshape(len(g.edge_order), b)
-    return ThetaMap(t, b, basis, theta, matrix, circuits)
+        theta[e], theta[g.reversed(e)] = unit[j].copy(), -unit[j]
+    circuits = {e: Path((e,) + _tree_path(g, t, g.terminus(e), g.origin(e)).edges)
+                for e in basis}
+    matrix = np.array([theta[e] for e in g.edge_order], dtype=int).reshape(len(theta), len(basis))
+    return ThetaMap(t, len(basis), basis, theta, matrix, circuits)
 
 
 def incidence_vector(p: Path, g: BaseGraph) -> np.ndarray:

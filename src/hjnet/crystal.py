@@ -278,6 +278,12 @@ class BoxGraph:
             raise ValueError(f"h = {tuple(h)} lies outside the crystal box")
         return (self.g.vertices.index(vertex),) + tuple(int(i) for i in idx)
 
+    def lattice(self) -> np.ndarray:
+        """h of every cell of the box, shape (2r+1, ..., 2r+1, b): (0,) at b = 0."""
+        n, b = 2 * self.radius + 1, self.tm.betti
+        cells = np.moveaxis(np.indices((n,) * b), 0, -1).copy()  # C order, h last
+        return cells + (np.asarray(self.source.h, dtype=int) - self.radius)
+
     def hops(self) -> np.ndarray:
         """Number of arcs on the shortest walks from the source, inf if none.
 

@@ -22,9 +22,10 @@ the box, each level a Dijkstra search that stops once the ball (at most R/eps
 arcs from z) is settled, into a running max: a lower bound per vertex.  The
 least bound is made exact (``action._dual_max``, by cutting planes) until it
 already is, which makes it the minimum.  The limit solution is the Hopf-Lax
-value inf over h0 of [g(h0) + t beta((h - h0)/t)].  As alpha is convex and g is the
-least of convex pieces v_i + sup over p in D_i of <p, h - x_i>, Hopf's formula
-(Hopf 1965; Bardi and Evans 1984) gives it as the least over i of
+value inf over h0 of [g(h0) + t beta((h - h0)/t)].  Every datum is the least
+of convex pieces v_i + sup over p in D_i of <p, h - x_i>, D_i a point, a box
+or a ball (``InitialDatum.pieces``); as alpha is convex, Hopf's formula (Hopf
+1965; Bardi and Evans 1984) gives the limit as the least over i of
 v_i + sup over p in D_i of <p, h - x_i> - t alpha(p), with no beta: a closed
 form where D_i is a point, else ``MatherSolver.hopf_sup``.
 The convergence experiment compares u_eps at the lattice vertex nearest to
@@ -49,10 +50,46 @@ _DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
 
 
 class InitialDatum:
-    """Uniformly continuous datum on R^b with a known Lipschitz bound."""
+    """Datum on R^b given as the least of convex pieces (``pieces``); its
+    value, Lipschitz bound and Hopf-Lax limit are read from those pieces."""
+
+    def pieces(self, b: int) -> list[tuple]:
+        """Pieces (v, x, P, r, ord) whose least is the datum: each is
+        v + <P, h - x> + r |h - x|_1 (a box piece, ord inf) or v + r |h - x|_2
+        (a ball piece, ord 2, P = 0); a box piece of r = 0 is a point piece."""
+        raise NotImplementedError
+
+    def _pieces(self, b: int) -> list[tuple]:
+        pieces = self.pieces(b)
+        if (dim := len(pieces[0][1])) != b:
+            raise ValueError(f"datum has dimension {dim}, not b = {b}")
+        return pieces
 
     def value(self, h):
-        raise NotImplementedError
+        h = np.asarray(h, dtype=float)
+        out = np.inf
+        for v, x, P, r, ord in self._pieces(h.shape[-1]):
+            y = h - x
+            norm = np.linalg.norm(y, 1 if ord == np.inf else 2, axis=-1)
+            out = np.minimum(out, v + y @ P + r * norm)
+        return out
+
+    def lipschitz_bound(self, b: int) -> float:
+        """Euclidean Lipschitz bound: the largest |P|_2 + r m over the pieces,
+        with m = sqrt(b) for a box piece (|grad |h|_1|_2) and 1 for a ball piece."""
+        return max(float(np.linalg.norm(P) + r * (np.sqrt(b) if ord == np.inf else 1.0))
+                   for _, _, P, r, ord in self._pieces(b))
+
+    def hopf_lax(self, solver: MatherSolver, h, t: float) -> float:
+        """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by Hopf's formula:
+        the least over the pieces of v + <P, y> - t alpha(P) (a point piece)
+        or v + ``solver.hopf_sup``(y, t, r, ord), with y = h - x."""
+        if not 0 < t < np.inf:
+            raise ValueError(f"t must be positive and finite, not {t}")
+        h = vector("h", h, solver.tm.betti)
+        return min(v + float(P @ (h - x)) - t * solver.alpha(P) if r == 0
+                   else v + solver.hopf_sup(h - x, t, r, ord)
+                   for v, x, P, r, ord in self._pieces(solver.tm.betti))
 
 
 @dataclass
@@ -62,36 +99,32 @@ class LinearDatum(InitialDatum):
     def __post_init__(self):
         finite("linear datum p", self.p)
 
-    def value(self, h):
-        h = np.asarray(h, dtype=float)
-        return h @ np.asarray(self.p, dtype=float)
-
-    @property
-    def lipschitz(self):
-        return float(np.linalg.norm(self.p))
+    def pieces(self, b):
+        p = np.asarray(self.p, dtype=float)
+        return [(0.0, np.zeros(p.size), p, 0.0, np.inf)]
 
 
 @dataclass
 class ConeDatum(InitialDatum):
-    """c times the l1 norm."""
+    """c times the l1 norm: the box piece |p|_inf <= c if c >= 0, else the
+    least of the 2^b point pieces c s, s in {-1, 1}^b."""
 
     c: float
 
     def __post_init__(self):
         finite("cone datum c", self.c)
 
-    def value(self, h):
-        h = np.asarray(h, dtype=float)
-        return self.c * np.abs(h).sum(axis=-1)
-
-    @property
-    def lipschitz(self):
-        return abs(self.c)  # per component; scaled by sqrt(b) where needed
+    def pieces(self, b):
+        if self.c >= 0:
+            return [(0.0, np.zeros(b), np.zeros(b), self.c, np.inf)]
+        return [(0.0, np.zeros(b), self.c * np.array(s), 0.0, np.inf)
+                for s in itertools.product((-1.0, 1.0), repeat=b)]
 
 
 @dataclass
 class TabulatedDatum(InitialDatum):
-    """Lipschitz extension min_i (v_i + L |h - x_i|) of scattered samples."""
+    """Lipschitz extension min_i (v_i + L |h - x_i|) of scattered samples:
+    one ball piece per anchor."""
 
     anchors: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
@@ -100,18 +133,14 @@ class TabulatedDatum(InitialDatum):
     def __post_init__(self):
         if len(set(map(len, self.anchors))) != 1 or len(self.values) != len(self.anchors):
             raise ValueError("tabulated anchors need one common length and one value each")
-        if not all(np.isfinite(np.asarray(x, dtype=float)).all()
-                   for x in (self.values, self.anchors)):
-            raise ValueError("tabulated datum values and anchors must be finite")
+        finite("tabulated datum values", self.values)
+        finite("tabulated datum anchors", self.anchors)
         if not 0 <= self.lipschitz < np.inf:
             raise ValueError(f"Lipschitz bound {self.lipschitz} must be finite and >= 0")
 
-    def value(self, h):
-        h = np.asarray(h, dtype=float)
-        x = np.asarray(self.anchors, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        dist = np.linalg.norm(h[..., None, :] - x, axis=-1)
-        return (v + self.lipschitz * dist).min(axis=-1)
+    def pieces(self, b):
+        return [(v, np.asarray(x, dtype=float), np.zeros(len(x)), self.lipschitz, 2)
+                for x, v in zip(self.anchors, self.values)]
 
 
 @dataclass
@@ -122,6 +151,9 @@ class ExperimentGrid:
     eps_list: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("samples", "eps_list"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         if not all(0 < t < np.inf for _, t in self.samples):
@@ -130,19 +162,6 @@ class ExperimentGrid:
             finite("sample point h", h)
         if not all(0 < eps < np.inf for eps in self.eps_list):
             raise ValueError("every eps must be positive and finite")
-
-
-def _check_dims(datum: InitialDatum, b: int):
-    dim = (len(datum.p) if isinstance(datum, LinearDatum) else
-           len(datum.anchors[0]) if isinstance(datum, TabulatedDatum) else b)
-    if dim != b:
-        raise ValueError(f"datum has dimension {dim}, not b = {b}")
-
-
-def _datum_lipschitz(datum, b: int) -> float:
-    if isinstance(datum, ConeDatum):
-        return abs(datum.c) * np.sqrt(b)
-    return float(datum.lipschitz)
 
 
 def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
@@ -166,13 +185,6 @@ def _reach_scales(solver: MatherSolver, L: float):
     return 1.25 * q_reach + 0.25, a_cap + 1.0
 
 
-def _box_lattice(center, radius: int):
-    """Integer h values of the box around center (b >= 1 entries), as an
-    array of shape (2r+1, ..., 2r+1, b)."""
-    axes = [np.arange(-radius, radius + 1) + int(c) for c in center]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                      datum: InitialDatum, z: CrystalVertex, t: float,
                      eps: float) -> float:
@@ -180,12 +192,11 @@ def epsilon_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
     least screened lower bound, refined exactly until the least one is exact."""
     if not (0 < t < np.inf and 0 < eps < np.inf):
         raise ValueError(f"t and eps must be positive and finite, not {t}, {eps}")
-    vector("lattice point z.h", z.h, tm.betti)
-    integral("lattice point z.h", z.h)
-    _check_dims(datum, tm.betti)
+    if z.base not in g.vertices:
+        raise ValueError(f"unknown base vertex {z.base!r}")
+    integral("lattice point z.h", vector("lattice point z.h", z.h, tm.betti))
     solver = MatherSolver(g, tm, profiles)
-    L = _datum_lipschitz(datum, tm.betti)
-    q_reach, a_cap = _reach_scales(solver, L)
+    q_reach, a_cap = _reach_scales(solver, datum.lipschitz_bound(tm.betti))
     potential = crystal_potential(g, tm, profiles)
     R = t * q_reach + 1.0
     for _ in range(2):
@@ -229,8 +240,7 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
 
     def search(box):
         hops = box.hops()
-        g_vals = (datum.value(eps * _box_lattice(z.h, box.radius).astype(float))
-                  if tm.betti else np.asarray(datum.value(np.zeros(0))))
+        g_vals = datum.value(eps * box.lattice())
 
         # screen: the best level of one a-grid bounds each vertex's dual from below
         best = np.full(box.shape, -np.inf)
@@ -262,24 +272,7 @@ def limit_solution(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
                    datum: InitialDatum, h, t: float) -> float:
     """Hopf-Lax value inf_h0 [g(h0) + t beta((h - h0)/t)] by Hopf's formula,
     the least over the datum's convex pieces (see the module docstring)."""
-    return _limit_solution(MatherSolver(g, tm, profiles), datum, h, t)
-
-
-def _limit_solution(solver: MatherSolver, datum: InitialDatum, h, t: float) -> float:
-    if not 0 < t < np.inf:
-        raise ValueError(f"t must be positive and finite, not {t}")
-    b = solver.tm.betti
-    h = vector("h", h, b)
-    _check_dims(datum, b)
-    if isinstance(datum, TabulatedDatum):  # v_i + L |h - x_i|_2: D the ball |p|_2 <= L
-        return min(v + solver.hopf_sup(h - np.asarray(x, dtype=float), t, datum.lipschitz, 2)
-                   for x, v in zip(datum.anchors, datum.values))
-    if isinstance(datum, ConeDatum) and datum.c >= 0:  # D: the box |p|_inf <= c
-        return solver.hopf_sup(h, t, datum.c, np.inf)
-    # D = {p}: a linear datum, or the 2^b linear data c s whose least is the cone c < 0
-    P = (np.atleast_2d(datum.p) if isinstance(datum, LinearDatum)
-         else datum.c * np.array(list(itertools.product((-1.0, 1.0), repeat=b))))
-    return min(float(p @ h) - t * solver.alpha(p) for p in P)
+    return datum.hopf_lax(MatherSolver(g, tm, profiles), h, t)
 
 
 @dataclass
@@ -303,7 +296,7 @@ def convergence_experiment(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
         sup_err = 0.0
         for (h, t) in grid.samples:
             h_z = tuple(int(k) for k in np.round(np.asarray(h, dtype=float) / eps))
-            u = _limit_solution(solver, datum, eps * np.array(h_z, dtype=float), t)
+            u = datum.hopf_lax(solver, eps * np.array(h_z, dtype=float), t)
             u_eps = epsilon_solution(g, tm, profiles, datum, CrystalVertex(x0, h_z),
                                      t, eps)
             err = abs(u_eps - u)

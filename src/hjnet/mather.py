@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .base_graph import BaseGraph, ThetaMap, rotation_vector
+from .base_graph import BaseGraph, ThetaMap
 from .cell_problem import enumerate_circuits
 from .edge_calculus import _LADDER_BLOCK, EdgeProfiles, _concave_max, _increasing_root
 from .errors import BudgetExceeded, ConvergenceFailure, vector
@@ -106,11 +106,10 @@ class MatherSolver:
         self.profiles = profiles
         self.a0 = profiles.a0
         self.circuits = enumerate_circuits(g)
-        self.circuit_theta = np.array(
-            [rotation_vector(c, tm) for c in self.circuits], dtype=float)
         self._circuit_edge_count = np.array(
             [[c.edges.count(e) for e in g.edge_order] for c in self.circuits],
             dtype=float).reshape(len(self.circuits), len(g.edge_order))
+        self.circuit_theta = self._circuit_edge_count @ tm.matrix  # small integers: exact
         self._S = np.empty((len(self.circuits), 0))
         self._tables = {}  # hopf_sup's _face_table per D, built on first use
 

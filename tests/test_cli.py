@@ -280,6 +280,14 @@ def test_homogenize_rejects_sample_without_time(files, capsys):
     assert "--samples entry '0.5,0.25'" in capsys.readouterr().err
 
 
+def test_homogenize_rejects_empty_eps_list(files, capsys):
+    out = files["tmp"] / "empty_eps.csv"
+    assert main(_bouquet_args(files, "homogenize", "--samples", "0.5,0.25@1",
+                              "--eps", "", "--out", str(out))) == 2
+    assert "eps_list must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_asymptotics_rejects_empty_T_list(files, capsys):
     assert main(_bouquet_args(files, "asymptotics", "--x", "v", "--y", "v",
                               "--h-direction", "0.5,0", "--T-list", "")) == 2

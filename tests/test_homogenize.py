@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjnet import homogenize
 from hjnet.cell_problem import effective_hamiltonian
@@ -13,6 +15,7 @@ from hjnet.homogenize import (ConeDatum, ExperimentGrid, LinearDatum,
                               epsilon_solution, limit_solution)
 from hjnet.mather import MatherSolver
 
+from conftest import networks
 from oracles import epsilon_solution_dense
 
 ZERO = LinearDatum((0.0, 0.0))
@@ -123,6 +126,35 @@ def test_limit_cone_of_slope_zero(drifted_loop, honeycomb_cos):
                                     abs=1e-9)
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(net=networks(), data=st.data())
+def test_limit_bounds_for_every_datum_family(net, data):
+    """For linear, cone (c >= 0 and c < 0) and tabulated data on multigraphs
+    with loops, multi-edges and trees (b = 0): u(h, t) <= g(h) - t a0, the
+    Hopf-Lax value at h0 = h as beta(0) = -a0, and u(., t) keeps the datum's
+    Lipschitz bound."""
+    g, tm, profs = net
+    b = tm.betti
+
+    def vec(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=b, max_size=b)))
+
+    family = data.draw(st.sampled_from(["linear", "cone", "concave cone", "tabulated"]))
+    if family == "linear":
+        datum = LinearDatum(tuple(vec(-1.5, 1.5)))
+    elif family == "tabulated":
+        datum = TabulatedDatum((tuple(vec(-1.0, 1.0)), tuple(vec(-1.0, 1.0))),
+                               (data.draw(st.floats(-0.5, 0.5)), 0.0),
+                               data.draw(st.floats(0.0, 1.5)))
+    else:
+        datum = ConeDatum(data.draw(st.floats(0.0, 1.5) if family == "cone"
+                                    else st.floats(-1.5, -0.1)))
+    t, h1, h2 = data.draw(st.floats(0.25, 2.0)), vec(-1.0, 1.0), vec(-1.0, 1.0)
+    u1, u2 = (limit_solution(g, tm, profs, datum, h, t) for h in (h1, h2))
+    assert u1 <= float(datum.value(h1)) - t * profs.a0 + 1e-9
+    assert abs(u1 - u2) <= datum.lipschitz_bound(b) * np.linalg.norm(h1 - h2) + 1e-4
+
+
 @pytest.mark.parametrize("datum, h, match", [
     (ConeDatum(1.5), (0.5,), "h must have b = 2"),
     (ConeDatum(1.5), (0.5, 0.25, 0.0), "h must have b = 2"),
@@ -140,7 +172,8 @@ def test_limit_rejects_mismatched_dimensions(honeycomb_cos_quarter, datum, h, ma
     (TabulatedDatum(((0.0,),), (0.0,), 1.0), CrystalVertex("x1", (2, 1)),
      "dimension 1, not b = 2"),
     (LinearDatum((1.0, 0.0, 0.0)), CrystalVertex("x1", (2, 1)), "dimension 3, not b = 2"),
-], ids=["z-fractional", "z-short", "tabulated-1d", "linear-3d"])
+    (ConeDatum(1.5), CrystalVertex("nope", (0, 0)), "unknown base vertex 'nope'"),
+], ids=["z-fractional", "z-short", "tabulated-1d", "linear-3d", "z-base"])
 def test_epsilon_rejects_mismatched_dimensions(honeycomb_cos_quarter, datum, z, match):
     with pytest.raises(ValueError, match=match):
         epsilon_solution(*honeycomb_cos_quarter, datum, z, 1.0, 0.25)
@@ -345,8 +378,7 @@ def test_zero_reduced_weight_keeps_the_full_box(k4_drift, monkeypatch):
     radii = _reverse_box_radii(monkeypatch)
     datum, t, eps = ConeDatum(1.5), 0.5, 1 / 4
     epsilon_solution(g, tm, profs, datum, _vertex("a", (0.5, 0.25, 0.0), eps), t, eps)
-    q = homogenize._reach_scales(MatherSolver(g, tm, profs),
-                                 homogenize._datum_lipschitz(datum, 3))[0]
+    q = homogenize._reach_scales(MatherSolver(g, tm, profs), datum.lipschitz_bound(3))[0]
     assert radii == [int(np.ceil((t * q + 1.0) / eps)) + 1]
 
 
@@ -399,6 +431,10 @@ class TestConvergenceExperiment:
             ExperimentGrid((((0.0, 0.0), 1.0),), (0.125, 0.25))
         with pytest.raises(ValueError):
             ExperimentGrid((((0.0, 0.0), -1.0),), (0.25, 0.125))
+        with pytest.raises(ValueError, match="samples must not be empty"):
+            ExperimentGrid((), (0.25,))
+        with pytest.raises(ValueError, match="eps_list must not be empty"):
+            ExperimentGrid((((0.0, 0.0), 1.0),), ())
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, NAN, INF])
     def test_grid_rejects_nonpositive_radius(self, radius):
