@@ -143,19 +143,23 @@ def min_action(g: BaseGraph, tm: ThetaMap, profiles: EdgeProfiles,
 
 
 def _dual_max(box: BoxGraph, profiles: EdgeProfiles, potential: Potential,
-              target, T: float, hi_hint: float) -> tuple[float, np.ndarray]:
+              target, T: float, hi_hint: float,
+              a0_tree=None) -> tuple[float, np.ndarray]:
     """max_{a >= a0} [Psi_a - a T], Psi_a the least walk weight to ``target``, and
     the edge counts of the last walk found, by cutting planes (Kelley 1960): a
     walk's weight C sigma(a) is concave and never below Psi_a, so the least of
     those found bounds Psi_a from above; each search runs where that model,
     minus a T, peaks, until it returns a walk already found, where model and
-    dual agree.  Returns the best dual value evaluated (a witness)."""
+    dual agree.  Returns the best dual value evaluated (a witness).  A walk at
+    a0 reads ``a0_tree``, a ``BoxGraph.tree`` of sigma_all(a0) that reaches
+    ``target``, if given."""
     def model(s):
         return float((C @ profiles.sigma_all(s)).min()) - s * T
 
     C, best, a = np.zeros((0, len(box.edges)), dtype=int), -np.inf, profiles.a0
     for _ in range(_DUAL_SEARCHES):
-        psi, counts = box.walk(profiles.sigma_all(a), potential, target)
+        psi, counts = box.walk(profiles.sigma_all(a), potential, target,
+                               a0_tree if a == profiles.a0 else None)
         best = max(best, psi - a * T)
         if (C == counts).all(axis=1).any():
             return best, counts

@@ -313,15 +313,22 @@ class BoxGraph:
                 d += unshift
             yield d
 
-    def walk(self, w, potential: Potential, at) -> tuple[float, np.ndarray]:
+    def tree(self, w, potential: Potential, max_hops) -> tuple[np.ndarray, np.ndarray]:
+        """One search at level ``w`` to ``max_hops`` arcs, with predecessors:
+        the (distances, predecessors) pair that ``walk`` reads."""
+        return self._search(np.asarray(w, dtype=float),
+                            potential.edge_shift(self.g, self.tm), max_hops,
+                            predecessors=True)
+
+    def walk(self, w, potential: Potential, at, tree=None) -> tuple[float, np.ndarray]:
         """Least walk weight to the node ``at`` at one level ``w`` (that of
         ``levels`` bit for bit, searched to the hop bound ``hops()[at]``) and
         the edge counts of one such walk, by predecessors; a box has no parallel
-        arcs (edges with the same ends differ in theta).  Unreached: inf, none."""
+        arcs (edges with the same ends differ in theta).  Unreached: inf, none.
+        A ``tree`` of the same ``w`` to at least ``hops()[at]`` arcs is read
+        instead of a new search."""
         v = node = int(np.ravel_multi_index(at, self.shape))
-        d, pred = self._search(np.asarray(w, dtype=float),
-                               potential.edge_shift(self.g, self.tm),
-                               self.hops()[at], predecessors=True)
+        d, pred = tree if tree is not None else self.tree(w, potential, self.hops()[at])
         g = self._graph
         counts = np.zeros(len(self.edges), dtype=int)
         while (u := int(pred[v])) >= 0:  # the source and unreached nodes have none

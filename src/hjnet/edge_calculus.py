@@ -26,8 +26,9 @@ its s-blended columns and searches the crossing per level.  A reversed
 profile mirrors the forward kernel in s and keeps a_e.
 ``EdgeProfiles.sigma_all`` evaluates every directed edge at once from the
 stacked kernels; the cell problem, the reach weights and the sigma ladder
-that ``EdgeProfiles`` keeps for ``mather`` read it.  Path actions start at their support's largest a_e, which may lie
-below a0, so they sum the per-edge kernels.
+that ``EdgeProfiles`` keeps for ``mather`` read it.  Path actions start at
+their support's largest a_e, which may lie below a0, so they sum the
+per-edge kernels.
 """
 
 from __future__ import annotations

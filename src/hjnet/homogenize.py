@@ -17,15 +17,19 @@ than K = floor(R/eps max(w_red)/min(w_red)) arcs from z, hence none beyond
 ball's ceil(R/eps) + 1 checks that it settled none of the box's outer
 layer, and the call reruns in the ball's box if one did; a search that
 passes is the ball box's search, float for float.  The minimum is found by
-lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid over
-the box, each level a Dijkstra search that stops once the ball (at most R/eps
-arcs from z) is settled, into a running max: a lower bound per vertex.  The
-least bound is made exact (``action._dual_max``, by cutting planes) until it
-already is, which makes it the minimum.  The limit solution is the Hopf-Lax
-value inf over h0 of [g(h0) + t beta((h - h0)/t)].  Every datum is the least
-of convex pieces v_i + sup over p in D_i of <p, h - x_i>, D_i a point, a box
-or a ball (``InitialDatum.pieces``); as alpha is convex, Hopf's formula (Hopf
-1965; Bardi and Evans 1984) gives the limit as the least over i of
+lower-bound pruning (Land and Doig 1960).  A screen streams one a-grid of
+``_DUAL_LEVELS`` levels, evenly spaced in speed (so quadratic in a - a0),
+over the box, each level a Dijkstra search that stops once the ball (at most
+R/eps arcs from z) is settled, into a running max: a lower bound per vertex.
+The least bound is made exact (``action._dual_max``, by cutting planes) until
+it already is, which makes it the minimum; the certification decides, so a
+coarse screen costs refinements, never accuracy.  Every certification's walk
+at a0 reads one search of the ball at a0, with predecessors, per box.  The
+limit solution is the Hopf-Lax value inf over h0 of
+[g(h0) + t beta((h - h0)/t)].  Every datum is the least of convex pieces
+v_i + sup over p in D_i of <p, h - x_i>, D_i a point, a box or a ball
+(``InitialDatum.pieces``); as alpha is convex, Hopf's formula (Hopf 1965;
+Bardi and Evans 1984) gives the limit as the least over i of
 v_i + sup over p in D_i of <p, h - x_i> - t alpha(p), with no beta: a closed
 form where D_i is a point, else ``MatherSolver.hopf_sup``.
 The convergence experiment compares u_eps at the lattice vertex nearest to
@@ -46,7 +50,7 @@ from .errors import RadiusExhausted, RimReached, finite, integral, vector
 from .action import _dual_max, crystal_potential
 from .mather import MatherSolver
 
-_DUAL_LEVELS = 48  # levels of the a-grid that epsilon_solution screens with
+_DUAL_LEVELS = 12  # levels of the a-grid that epsilon_solution screens with
 
 
 class InitialDatum:
@@ -165,7 +169,9 @@ class ExperimentGrid:
 
 
 def _a_grid(a0: float, offset: float, n: int) -> np.ndarray:
-    return np.concatenate([[a0], a0 + np.geomspace(1e-6, offset, n - 1)])
+    """n levels from a0 to a0 + offset, evenly spaced in speed: on a quadratic
+    edge level a carries speed sqrt(2 (a - V)), so the spacing is quadratic in a."""
+    return a0 + offset * np.linspace(0.0, 1.0, n) ** 2
 
 
 def _reach_scales(solver: MatherSolver, L: float):
@@ -250,10 +256,12 @@ def _epsilon_solution_once(g, tm, profiles, potential, datum, z, t, eps, R,
         if not np.isfinite(u.min()):
             raise RadiusExhausted("no admissible starting vertex in the ball")
 
-        # certify: a least lower bound that is exact is the minimum
+        # certify: a least lower bound that is exact is the minimum; every
+        # certification's walk at a0 reads one search of the ball
+        tree = box.tree(profiles.sigma_all(profiles.a0), potential, hops_allowed)
         exact = np.zeros(box.shape, dtype=bool)
         while not exact[(w := np.unravel_index(np.argmin(u), u.shape))]:
-            dual = _dual_max(box, profiles, potential, w, T, offset)[0]
+            dual = _dual_max(box, profiles, potential, w, T, offset, tree)[0]
             u[w] = max(u[w], g_vals[w[1:]] + eps * dual)
             exact[w] = True
         return float(u[w]), bool(hops[w] > hops_allowed - 1.5)

@@ -222,7 +222,12 @@ class MatherSolver:
         # of best face is a kink of W
         if f(hi + 1e-10 * (1.0 + abs(hi))) > f(hi):
             _concave_max(lambda s: f(hi + s), 0.0, piece=lambda s: level(hi + s)[2])
-        return float(best[1] @ q) - t * self.alpha(best[1])
+        p = best[1]  # may leave D by the slack of ``level``: back into the box or ball
+        if key == np.inf:
+            p = np.clip(p, -radius, radius)
+        elif key == 2 and (n := np.linalg.norm(p)) > radius:
+            p = p * (radius / n)
+        return float(p @ q) - t * self.alpha(p)
 
     def beta(self, h) -> float:
         """Mather's beta: sup over p of <p, h> - alpha(p), a ``hopf_sup`` over R^b."""

@@ -68,7 +68,8 @@ def test_engine_matches_sweep_oracle(net, data):
 @given(net=networks(), data=st.data())
 def test_hop_bound_keeps_every_node_within_it(net, data):
     """Hop-bounded searches equal the unbounded one bit for bit at every node
-    within the bound, forward and reverse, and at a single node ``at``."""
+    within the bound, forward and reverse, and at a single node ``at``, also
+    when ``walk`` reads a tree searched past that node's hop count."""
     g, tm, profs = net
     b = tm.betti
     radius = data.draw(st.integers(1, 4))
@@ -89,11 +90,12 @@ def test_hop_bound_keeps_every_node_within_it(net, data):
         h1 = tuple(c + data.draw(st.integers(-radius, radius)) for c in h0)
         at = box.index(y, h1)
         for row, dist in zip(w, full):
-            psi, counts = box.walk(row, pot, at)
-            assert psi == dist[at]
-            if np.isfinite(psi):  # the counts form a walk of that weight
-                _assert_walk(g, tm, counts, x, h0, y, h1, reverse)
-                np.testing.assert_allclose(counts @ row, psi, rtol=0, atol=1e-9)
+            for tree in (None, box.tree(row, pot, np.inf)):
+                psi, counts = box.walk(row, pot, at, tree)
+                assert psi == dist[at]
+                if np.isfinite(psi):  # the counts form a walk of that weight
+                    _assert_walk(g, tm, counts, x, h0, y, h1, reverse)
+                    np.testing.assert_allclose(counts @ row, psi, rtol=0, atol=1e-9)
 
 
 def _assert_walk(g, tm, counts, x, h0, y, h1, reverse):

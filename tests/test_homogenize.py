@@ -310,6 +310,62 @@ def test_certification_not_the_screen_decides(honeycomb_cos_quarter, monkeypatch
     assert epsilon_solution(*args) == pytest.approx(want, abs=1e-12)
 
 
+def _geometric_grid(a0, offset, n):
+    """The earlier screen: a0, then a0 + geomspace(1e-6, offset, n - 1)."""
+    return np.concatenate([[a0], a0 + np.geomspace(1e-6, offset, n - 1)])
+
+
+@pytest.mark.parametrize("network, datum, x, h, t, eps", [
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.25, 0.0), 1.0, 1 / 16),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.5), 1.0, 1 / 16),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.25, 0.0), 1.0, 1 / 32),
+    ("honeycomb_cos_quarter", ConeDatum(1.5), "x1", (0.5, 0.5), 1.0, 1 / 32),
+    ("k4_mixed", ConeDatum(1.5), "a", (0.5, 0.25, 0.0), 1.0, 1 / 8),
+    ("k4_drift", ConeDatum(1.5), "a", (0.5, 0.25, 0.0), 0.5, 1 / 4),
+    ("drifted_loop", LinearDatum((0.0,)), "v", (0.0,), 2.0, 1 / 8),
+    ("bouquet_free", TABLE, "v", (0.5, 0.25), 1.0, 1 / 4),
+], ids=["honeycomb-quarter-16-a", "honeycomb-quarter-16-b", "honeycomb-quarter-32-a",
+        "honeycomb-quarter-32-b", "k4-mixed-8", "k4-drift", "drifted-loop",
+        "bouquet-tabulated"])
+def test_screen_uniform_in_speed_matches_the_geometric_screen(request, monkeypatch,
+                                                              network, datum, x, h, t, eps):
+    """The 12-level screen gives the float of the 48-level geometric one, repr
+    for repr: the certification, not the screen, decides (at (0.5, 0.5) and
+    eps = 1/32 twelve vertices nearly tie)."""
+    args = (*request.getfixturevalue(network), datum, _vertex(x, h, eps), t, eps)
+    got = epsilon_solution(*args)
+    monkeypatch.setattr(homogenize, "_a_grid", _geometric_grid)
+    monkeypatch.setattr(homogenize, "_DUAL_LEVELS", 48)
+    assert repr(got) == repr(epsilon_solution(*args))
+
+
+def test_one_level_a0_search_per_box(honeycomb_cos_quarter, monkeypatch):
+    """Every certification's walk at a0 reads one search at a0 to the ball's
+    hop bound R/eps, so the call searches once per screen level, once at a0
+    and at most once more per certification here.  Counted, not timed."""
+    g, tm, profs = honeycomb_cos_quarter
+    eps, w0 = 1 / 16, profs.sigma_all(profs.a0)
+    searches, certs = [], []
+    search, dual_max = BoxGraph._search, homogenize._dual_max
+
+    def spy_search(self, w, shift, max_hops, predecessors=False):
+        searches.append((id(self), predecessors and np.array_equal(w, w0), max_hops))
+        return search(self, w, shift, max_hops, predecessors)
+
+    def spy_dual_max(*args):
+        certs.append(args[3])
+        return dual_max(*args)
+
+    monkeypatch.setattr(BoxGraph, "_search", spy_search)
+    monkeypatch.setattr(homogenize, "_dual_max", spy_dual_max)
+    epsilon_solution(g, tm, profs, ConeDatum(1.5), _vertex("x1", (0.5, 0.5), eps), 1.0, eps)
+    q = homogenize._reach_scales(MatherSolver(g, tm, profs), 1.5 * np.sqrt(2))[0]
+    at_a0 = [(box, hops) for box, a0, hops in searches if a0]
+    assert len({box for box, _, _ in searches}) == 1 and len(certs) >= 2
+    assert at_a0 == [(searches[0][0], (1.0 * q + 1.0) / eps)]
+    assert len(searches) <= homogenize._DUAL_LEVELS + 1 + len(certs)
+
+
 def test_one_screen_of_full_ball_levels(honeycomb_cos_quarter, monkeypatch):
     # criterion 7(c) at eps = 1/8; the derived ball R/eps (23.1) does not
     # expand, so every full-ball level belongs to the one screen

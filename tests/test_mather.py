@@ -344,6 +344,17 @@ def test_hopf_sup_rejects_unknown_dual_sets(honeycomb_cos, radius, ord):
         MatherSolver(*honeycomb_cos).hopf_sup((0.5, 0.25), 1.0, radius, ord)
 
 
+@pytest.mark.parametrize("ord", [np.inf, 2], ids=["box", "ball"])
+def test_hopf_sup_of_radius_zero_is_the_closed_form(k4_drift, ord):
+    """D = {0}: the witness lies in D, so the value is -t alpha(0) exactly,
+    whatever q (a candidate within the feasibility slack of D read up to
+    5e-12 above it)."""
+    solver, t = MatherSolver(*k4_drift), 0.7
+    want = -t * solver.alpha(np.zeros(3))
+    for q in np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 3)):
+        assert solver.hopf_sup(q, t, 0.0, ord) == want
+
+
 @pytest.mark.parametrize("t", [NAN, INF, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
 def test_hopf_sup_rejects_non_positive_or_infinite_t(honeycomb_cos, t):
     """The level search over a holds for 0 < t < inf only: t = -1 on this box

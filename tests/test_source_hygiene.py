@@ -1,14 +1,16 @@
-"""Checks on the text of ``src/hjnet`` that read it with ``ast``, without
-importing the package.
+"""Checks on the text of ``src/hjnet`` that read it with ``ast`` or line by
+line, without importing the package.
 
 A deletion that leaves an import behind leaves a dependency that no line
-needs; the check below names it.
+needs; the check below names it.  A line longer than ``MAX_LINE`` characters
+is named too.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hjnet"
+MAX_LINE = 100
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +38,19 @@ def test_no_unused_top_level_imports():
     unused = {p.name: _unused_imports(p.read_text())
               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _long_lines(source: str) -> list[str]:
+    """Lines of more than ``MAX_LINE`` characters, as 'line n: length'."""
+    return [f"line {n}: {len(line)}" for n, line in enumerate(source.splitlines(), 1)
+            if len(line) > MAX_LINE]
+
+
+def test_the_check_finds_a_long_line():
+    source = "x = 1\n" + "#" * MAX_LINE + "\n" + "y" * (MAX_LINE + 1) + "\n"
+    assert _long_lines(source) == [f"line 3: {MAX_LINE + 1}"]
+
+
+def test_no_line_exceeds_the_limit():
+    long = {p.name: _long_lines(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in long.items() if found} == {}
